@@ -35,7 +35,6 @@ from .graph import (
     VGBSGraph,
     build_presentation,
     graph_from_dict,
-    validate_graph,
 )
 from .modulus import Empty, Finite, NegativeHalfLine, PositiveHalfLine, classify_intersection
 from .tree import ELLIPTIC, TreeVertex, stabilizer_element, translation_profile
@@ -144,9 +143,6 @@ def _load(path: str, base: str | None) -> tuple[VGBSGraph, AdaptedPresentation]:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: {exc}") from None
     graph = graph_from_dict(data)
-    report = validate_graph(graph)
-    if not report.ok:
-        raise InputError(f"{path}: " + "; ".join(report.violations))
     return graph, build_presentation(graph, base)
 
 

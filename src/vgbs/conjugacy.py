@@ -24,6 +24,7 @@ from .tree import (
     HYPERBOLIC,
     TreeVertex,
     base_vertex,
+    fixed_prefix,
     stabilizer_coords,
     stabilizer_element,
     translation_length,
@@ -136,17 +137,19 @@ def find_hyperbolic_in_tuple(
 def _common_fixed_vertex(pres, items) -> TreeVertex:
     # Successive projection: project the running common vertex onto the
     # next fixed subtree; the projection stays inside all earlier ones.
+    # Walking from a vertex w fixes towards it, the projection is the
+    # last vertex w still fixes.
     current = None
     for w in items:
         if is_trivial(pres, w):
             continue
+        profile = translation_profile(pres, w)
         if current is None:
-            current = translation_profile(pres, w).fixed
+            current = profile.fixed
         elif stabilizer_coords(pres, current, w) is None:
-            path = tree_path(pres, current, translation_profile(pres, w).fixed)
-            current = next(
-                v for v in path.vertices if stabilizer_coords(pres, v, w) is not None
-            )
+            path = tree_path(pres, profile.fixed, current)
+            fixed = fixed_prefix(pres, (s.edge for s in path.steps), profile.coords)
+            current = path.vertices[fixed]
     if current is None:
         return base_vertex(pres)
     for w in items:

@@ -37,7 +37,7 @@ from .linalg import (
     rat_vec,
 )
 from .words import Word, concat, invert_word, is_trivial, reduced_form, word_power, word_simplify
-from .tree import TreeVertex, stabilizer_coords, stabilizer_element, translation_profile, ELLIPTIC
+from .tree import TreeVertex, stabilizer_element, translation_profile, ELLIPTIC
 
 
 @dataclass(frozen=True)
@@ -157,10 +157,9 @@ def _symbolic_loop(
         profile = translation_profile(pres, base)
         if profile.kind != ELLIPTIC:
             raise ValueError(f"equation base {i} is not elliptic")
-        fixed = profile.fixed
-        vec = stabilizer_coords(pres, fixed, base)
-        assert vec is not None
-        anchors.append((fixed, AffineVec.single_unknown(vec, p, eq.sigma[i] - 1)))
+        anchors.append(
+            (profile.fixed, AffineVec.single_unknown(profile.coords, p, eq.sigma[i] - 1))
+        )
 
     steps: list[Edge] = []
     terms: list[ScaledVertexTerm] = [

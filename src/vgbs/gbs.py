@@ -125,9 +125,7 @@ def elliptic_exponent_form(
     if profile.kind != ELLIPTIC:
         raise ValueError("element is not elliptic")
     fixed = profile.fixed
-    coords = stabilizer_coords(pres, fixed, g)
-    assert coords is not None
-    return fixed.rep, coords[0], invert_word(pres, fixed.carrier)
+    return fixed.rep, profile.coords[0], invert_word(pres, fixed.carrier)
 
 
 def build_reachability_instance(

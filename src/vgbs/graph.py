@@ -19,8 +19,6 @@ from .linalg import (
     IntMatrix,
     IntVec,
     Lattice,
-    RatMatrix,
-    RatVec,
     integer_kernel,
     int_vec,
     is_integral_vec,
@@ -83,9 +81,16 @@ def _matrix_from_json(rows, expected_rows: int, expected_cols: int, where: str) 
     for r in rows:
         if len(r) != expected_cols:
             raise ValueError(f"{where}: expected {expected_cols} columns, got {len(r)}")
-        if not all(isinstance(x, int) for x in r):
+        if not all(type(x) is int for x in r):
             raise ValueError(f"{where}: matrix entries must be integers")
     return IntMatrix.from_rows(rows, cols=expected_cols)
+
+
+def _rank(value) -> int:
+    # bool is an int subclass, and int() would truncate 1.5 or parse "1"
+    if type(value) is not int:
+        raise ValueError(f"rank must be an integer, got {value!r}")
+    return value
 
 
 def graph_from_dict(data) -> VGBSGraph:
@@ -97,10 +102,12 @@ def graph_from_dict(data) -> VGBSGraph:
         raw_edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph document is missing key {exc}") from None
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise ValueError("graph vertices and edges must be lists")
     vertices = []
     for rv in raw_vertices:
         try:
-            vertices.append(Vertex(id=str(rv["id"]), rank=int(rv["rank"])))
+            vertices.append(Vertex(id=str(rv["id"]), rank=_rank(rv["rank"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad vertex entry {rv!r}: {exc}") from None
     ranks = {v.id: v.rank for v in vertices}
@@ -109,7 +116,7 @@ def graph_from_dict(data) -> VGBSGraph:
         try:
             eid = str(re["id"])
             frm, to = str(re["from"]), str(re["to"])
-            rank = int(re["rank"])
+            rank = _rank(re["rank"])
             reverse = str(re["reverse"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad edge entry {re!r}: {exc}") from None
@@ -227,23 +234,6 @@ def validate_graph(graph: VGBSGraph) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
-def edge_membership(graph: VGBSGraph, edge: Edge | str, x: Sequence[int]) -> IntVec | None:
-    """Preimage of a vertex-group element under inj_initial, or None.
-
-    The preimage is unique when it exists because the injection has full
-    column rank.
-    """
-    e = graph.edge(edge) if isinstance(edge, str) else edge
-    li = left_inverse(e.inj_initial.rational())
-    candidate = li.mul_vec(x)
-    if not is_integral_vec(candidate):
-        return None
-    k = int_vec(candidate)
-    if e.inj_initial.mul_vec(k) != tuple(x):
-        return None
-    return k
-
-
 class _EdgeData:
     """Per-oriented-edge solver: image lattice, exact preimages, transport."""
 
@@ -262,12 +252,6 @@ class _EdgeData:
         if self.edge.inj_initial.mul_vec(k) != tuple(x):
             return None
         return k
-
-    def rat_preimage(self, v: Sequence) -> RatVec | None:
-        candidate = self.left_inv.mul_vec(v)
-        if self.edge.inj_initial.rational().mul_vec(candidate) != tuple(v):
-            return None
-        return candidate
 
 
 class AdaptedPresentation:

@@ -32,10 +32,6 @@ def neg_vec(u: Sequence) -> tuple:
     return tuple(-a for a in u)
 
 
-def scale_vec(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
-
-
 def zero_vec(n: int) -> IntVec:
     return (0,) * n
 
@@ -154,9 +150,6 @@ class IntMatrix:
         return RatMatrix(
             self.rows, self.cols, tuple(tuple(Fraction(x) for x in row) for row in self.entries)
         )
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
 
 @dataclass(frozen=True)
@@ -390,16 +383,6 @@ class Lattice:
 
     def span(self) -> RatSubspace:
         return RatSubspace(self.ambient_dim, self.basis.rational())
-
-
-def hermite_basis(n: int, generators: Sequence[Sequence[int]]) -> Lattice:
-    return Lattice.from_generators(n, generators)
-
-
-def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Lattice(a.ambient_dim, a.basis.hstack(b.basis))
 
 
 def intersect_lattices(a: Lattice, b: Lattice) -> Lattice:

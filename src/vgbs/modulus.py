@@ -9,11 +9,16 @@ An eigenvalue condition on the modulus decides whether an element fixes a
 full half-line, which in turn classifies how a fixed subtree or a second
 axis meets the axis of h: not at all, in a finite segment, in a half-line,
 or along the whole axis.
+
+How far an elliptic element stays fixed along a path or an axis is
+decided by transporting its coordinates across the edges one at a time
+(tree.fixed_prefix), never by conjugating words along a growing carrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 from .graph import AdaptedPresentation
 from .linalg import (
@@ -35,7 +40,10 @@ from .tree import (
     TreePath,
     TreeVertex,
     axis_offset,
+    axis_period,
     axis_vertex,
+    axis_vertices,
+    fixed_prefix,
     on_characteristic_space,
     stabilizer_coords,
     translate,
@@ -44,11 +52,6 @@ from .tree import (
     tree_path,
 )
 from .words import Word, commutator, invert_word, is_trivial
-
-# Directional walks along an axis terminate whenever the half-line test
-# says they must; the bound only turns an internal bug into a loud error.
-_WALK_LIMIT = 10_000
-
 
 @dataclass(frozen=True)
 class Modulus:
@@ -160,6 +163,8 @@ def halfline_fixation(
     holds iff the modulus restricted to the cyclic subspace of g has an
     integer minimal polynomial (inverted for the positive direction), and
     finitely many explicit fixation checks then certify the whole ray.
+    Those checks decide fixation along the axis by transporting the
+    coordinates of g across its edges (tree.fixed_prefix).
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -178,29 +183,10 @@ def halfline_fixation(
             return False
     if not minimal_polynomial(restricted).is_integral():
         return False
-    period = translation_length(pres, h)
-    for m in range(1, period * cyclic.dim + 1):
-        probe = axis_vertex(pres, h, mod.basepoint, direction * m)
-        if stabilizer_coords(pres, probe, g) is None:
-            return False
-    return True
-
-
-def _last_in(pres, h, start: TreeVertex, direction: int, member) -> TreeVertex:
-    m = 0
-    while m < _WALK_LIMIT:
-        if not member(axis_vertex(pres, h, start, direction * (m + 1))):
-            return axis_vertex(pres, h, start, direction * m)
-        m += 1
-    raise AssertionError("axis walk did not terminate")
-
-
-def _capped_extent(pres, h, start: TreeVertex, direction: int, member, cap: int):
-    """Fixed prefix length in one direction, stopping at cap steps."""
-    m = 0
-    while m < cap and member(axis_vertex(pres, h, start, direction * (m + 1))):
-        m += 1
-    return m, m == cap
+    period = axis_period(pres, h, mod.basepoint, direction)
+    checks = period.length * cyclic.dim
+    walk = islice(cycle(s.edge for s in period.steps), checks)
+    return fixed_prefix(pres, walk, coords) == checks
 
 
 def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> IntersectionShape:
@@ -217,21 +203,18 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
         raise ValueError("first element must be nontrivial")
     g_profile = translation_profile(pres, g)
     elliptic = g_profile.kind == ELLIPTIC
-
-    if elliptic:
-        witness_g = g_profile.fixed
-        member = lambda v: stabilizer_coords(pres, v, g) is not None
-    else:
-        witness_g = g_profile.fundamental_domain.vertices[0]
-        member = lambda v: on_characteristic_space(pres, g, v)
     witness_h = h_profile.fundamental_domain.vertices[0]
 
     # Both characteristic spaces are convex, so along the connecting path
     # membership in the first is a prefix and in the second a suffix.
-    path = tree_path(pres, witness_g, witness_h)
-    a = 0
-    while a < path.length and member(path.vertices[a + 1]):
-        a += 1
+    if elliptic:
+        path = tree_path(pres, g_profile.fixed, witness_h)
+        a = fixed_prefix(pres, (s.edge for s in path.steps), g_profile.coords)
+    else:
+        path = tree_path(pres, g_profile.fundamental_domain.vertices[0], witness_h)
+        a = 0
+        while a < path.length and on_characteristic_space(pres, g, path.vertices[a + 1]):
+            a += 1
     b = path.length
     while b > 0 and on_characteristic_space(pres, h, path.vertices[b - 1]):
         b -= 1
@@ -240,60 +223,70 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
     meet = path.vertices[b]
 
     if elliptic:
-        return _classify_elliptic(pres, g, h, meet, member)
+        coords = stabilizer_coords(pres, meet, g)
+        return _shape(
+            pres,
+            h,
+            meet,
+            halfline_fixation(pres, h, g, 1, meet),
+            halfline_fixation(pres, h, g, -1, meet),
+            lambda d: fixed_prefix(
+                pres, cycle(s.edge for s in axis_period(pres, h, meet, d).steps), coords
+            ),
+        )
 
     cap = translation_length(pres, g) + translation_length(pres, h) + 1
-    pos, pos_capped = _capped_extent(pres, h, meet, 1, member, cap)
-    neg, neg_capped = _capped_extent(pres, h, meet, -1, member, cap)
-    if not pos_capped and not neg_capped:
-        return Finite(
-            tree_path(
-                pres,
-                axis_vertex(pres, h, meet, -neg),
-                axis_vertex(pres, h, meet, pos),
-            )
-        )
+    walks = {d: axis_vertices(pres, h, meet, d) for d in (1, -1)}
 
-    # The overlap exceeds the sum of the translation lengths, so the
-    # commutator is elliptic and its fixed subtree meets the h axis with
-    # the same kind of shape; only the endpoints need recomputing.
-    comm = commutator(pres, g, h)
-    if is_trivial(pres, comm):
-        return WholeAxis()
-    assert translation_profile(pres, comm).kind == ELLIPTIC
-    inner = classify_intersection(pres, comm, h)
-    if isinstance(inner, WholeAxis):
-        return WholeAxis()
-    if isinstance(inner, PositiveHalfLine):
-        return PositiveHalfLine(_last_in(pres, h, meet, -1, member))
-    if isinstance(inner, NegativeHalfLine):
-        return NegativeHalfLine(_last_in(pres, h, meet, 1, member))
-    assert isinstance(inner, Finite)
-    return Finite(
-        tree_path(
-            pres,
-            _last_in(pres, h, meet, -1, member),
-            _last_in(pres, h, meet, 1, member),
-        )
+    def extent(d: int, limit: int | None = None) -> int:
+        # how far the walk in direction d advances, from where it stands,
+        # while it stays on the g axis
+        m = 0
+        for v in islice(walks[d], limit):
+            if not on_characteristic_space(pres, g, v):
+                break
+            m += 1
+        return m
+
+    counts = {d: extent(d, cap) for d in (1, -1)}
+    positive = negative = False
+    if cap in counts.values():
+        # The overlap exceeds the sum of the translation lengths, so the
+        # commutator is elliptic and its fixed subtree meets the h axis
+        # with the same kind of shape: it tells which ends are infinite.
+        comm = commutator(pres, g, h)
+        if is_trivial(pres, comm):
+            return WholeAxis()
+        assert translation_profile(pres, comm).kind == ELLIPTIC
+        inner = classify_intersection(pres, comm, h)
+        positive = isinstance(inner, (WholeAxis, PositiveHalfLine))
+        negative = isinstance(inner, (WholeAxis, NegativeHalfLine))
+    # A walk stopped by the cap in a finite direction goes on from there.
+    return _shape(
+        pres,
+        h,
+        meet,
+        positive,
+        negative,
+        lambda d: counts[d] + extent(d) if counts[d] == cap else counts[d],
     )
 
 
-def _classify_elliptic(pres, g, h, meet, member) -> IntersectionShape:
-    positive = halfline_fixation(pres, h, g, 1, meet)
-    negative = halfline_fixation(pres, h, g, -1, meet)
+def _shape(pres, h, meet, positive: bool, negative: bool, extent) -> IntersectionShape:
+    """Intersection through meet on the h axis, given which half-lines from
+    meet it contains; extent(d) counts the steps from meet in direction d
+    that it contains, and is asked only for a finite direction."""
     if positive and negative:
         return WholeAxis()
+
+    def end(d: int) -> TreeVertex:
+        return axis_vertex(pres, h, meet, d * extent(d))
+
     if positive:
-        return PositiveHalfLine(_last_in(pres, h, meet, -1, member))
+        return PositiveHalfLine(end(-1))
     if negative:
-        return NegativeHalfLine(_last_in(pres, h, meet, 1, member))
-    return Finite(
-        tree_path(
-            pres,
-            _last_in(pres, h, meet, -1, member),
-            _last_in(pres, h, meet, 1, member),
-        )
-    )
+        return NegativeHalfLine(end(1))
+    return Finite(tree_path(pres, end(-1), end(1)))
 
 
 def _shape_anchor(shape: IntersectionShape) -> TreeVertex:

@@ -5,18 +5,20 @@ representative v.  A path step is a carrier h and an oriented graph edge
 e; it runs from h·ṽ_frm(e) to h·t(ē)·ṽ_to(e), and its pointwise
 stabilizer is the inj_initial image sitting inside the group at frm(e).
 Geodesics come from reduced path forms of the carrier quotient, so every
-decision here rests on the word problem.
+decision here rests on the word problem, except how far an elliptic
+element stays fixed along a walk: that follows edge transports of its
+stabilizer coordinates (fixed_prefix).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import count
+from typing import Iterable, Iterator, Sequence
 
 from .graph import AdaptedPresentation, Edge
 from .linalg import IntVec
 from .words import (
-    PathForm,
     Word,
     concat,
     conjugate,
@@ -90,14 +92,16 @@ class Subtree:
 
 @dataclass(frozen=True)
 class TranslationProfile:
-    """Translation length plus the classifying witness: a fixed vertex when
-    elliptic, a fundamental domain (ordered in the translation direction)
-    when hyperbolic."""
+    """Translation length plus the classifying witness: a fixed vertex and
+    the coordinates of the element in its stabilizer when elliptic, a
+    fundamental domain (ordered in the translation direction) when
+    hyperbolic."""
 
     length: int
     kind: str
     fixed: TreeVertex | None
     fundamental_domain: TreePath | None
+    coords: IntVec | None
 
 
 def base_vertex(pres: AdaptedPresentation) -> TreeVertex:
@@ -207,19 +211,19 @@ def translation_profile(pres: AdaptedPresentation, w: Word) -> TranslationProfil
     first = tree_path(pres, x0, translate(pres, ws, x0))
     profile: TranslationProfile | None = None
     if first.length == 0:
-        profile = TranslationProfile(0, ELLIPTIC, x0, None)
+        profile = TranslationProfile(0, ELLIPTIC, x0, None, stabilizer_coords(pres, x0, ws))
     else:
         best: tuple[int, TreePath] | None = None
         for x in first.vertices:
             px = tree_path(pres, x, translate(pres, ws, x))
             if px.length == 0:
-                profile = TranslationProfile(0, ELLIPTIC, x, None)
+                profile = TranslationProfile(0, ELLIPTIC, x, None, stabilizer_coords(pres, x, ws))
                 break
             if best is None or px.length < best[0]:
                 best = (px.length, px)
         if profile is None:
             assert best is not None
-            profile = TranslationProfile(best[0], HYPERBOLIC, None, best[1])
+            profile = TranslationProfile(best[0], HYPERBOLIC, None, best[1], None)
     pres._profiles[w] = profile
     return profile
 
@@ -238,17 +242,55 @@ def on_characteristic_space(pres: AdaptedPresentation, w: Word, x: TreeVertex) -
     return distance(pres, x, translate(pres, w, x)) == profile.length
 
 
-def axis_vertex(pres: AdaptedPresentation, h: Word, origin: TreeVertex, k: int) -> TreeVertex:
-    """Vertex at signed offset k from origin along the axis of h, positive
-    meaning the translation direction.  origin must lie on the axis."""
+def axis_period(
+    pres: AdaptedPresentation, h: Word, origin: TreeVertex, direction: int
+) -> TreePath:
+    """Geodesic from origin to h·origin (direction +1) or h⁻¹·origin (-1):
+    one period of the axis of h, which origin must lie on."""
     profile = translation_profile(pres, h)
     if profile.kind != HYPERBOLIC:
         raise ValueError("axis walk needs a hyperbolic element")
-    span = tree_path(pres, origin, translate(pres, h, origin))
-    if span.length != profile.length:
+    period = tree_path(pres, origin, translate(pres, word_power(pres, h, direction), origin))
+    if period.length != profile.length:
         raise ValueError("origin is not on the axis")
-    n, r = divmod(k, profile.length)
+    return period
+
+
+def axis_vertex(pres: AdaptedPresentation, h: Word, origin: TreeVertex, k: int) -> TreeVertex:
+    """Vertex at signed offset k from origin along the axis of h, positive
+    meaning the translation direction.  origin must lie on the axis."""
+    span = axis_period(pres, h, origin, 1)
+    n, r = divmod(k, span.length)
     return translate(pres, word_power(pres, h, n), span.vertices[r])
+
+
+def axis_vertices(
+    pres: AdaptedPresentation, h: Word, origin: TreeVertex, direction: int
+) -> Iterator[TreeVertex]:
+    """The vertices after origin along the axis of h in the given
+    direction, without end.  origin must lie on the axis."""
+    period = axis_period(pres, h, origin, direction)
+    for n in count():
+        shift = word_power(pres, h, direction * n)
+        for v in period.vertices[1:]:
+            yield translate(pres, shift, v)
+
+
+def fixed_prefix(pres: AdaptedPresentation, edges: Iterable[Edge], coords: IntVec) -> int:
+    """How many steps of a walk along the oriented graph edges an elliptic
+    element fixes, given its stabilizer coordinates at the start.
+
+    Crossing e conjugates by a stable letter, t(e)·s(x)·t(ē) =
+    s(transport_across(e, x)), and vertex groups are abelian, so no word
+    is built per step.  An endless walk must leave the fixed subtree.
+    """
+    fixed = 0
+    for e in edges:
+        coords = pres.transport_across(e, coords)
+        if coords is None:
+            break
+        fixed += 1
+    return fixed
 
 
 def axis_offset(pres: AdaptedPresentation, h: Word, x: TreeVertex, y: TreeVertex) -> int:

@@ -105,6 +105,18 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     assert code == 1 and out["kind"] == "error"
 
 
+def test_malformed_graph_document_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    for doc in (
+        {"vertices": 5, "edges": []},
+        {"vertices": [{"id": "v0", "rank": 1}], "edges": None},
+        {"vertices": [{"id": "v0", "rank": 1.5}], "edges": []},
+    ):
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "trivial", str(path), "xv0(1)")
+        assert code == 1 and out["kind"] == "error"
+
+
 def test_trivial_frozen_example(graph_file, capsys):
     code, out = run(capsys, "trivial", graph_file("bs12"), "Te1 xv0(2) te1 xv0(-1)")
     assert code == 0

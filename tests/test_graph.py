@@ -9,7 +9,6 @@ from vgbs.graph import (
     VGBSGraph,
     Vertex,
     build_presentation,
-    edge_membership,
     graph_from_dict,
     graph_to_dict,
     validate_graph,
@@ -75,9 +74,9 @@ def test_validation_catches_duplicates_and_bad_shapes():
 
 
 def test_edge_membership_known_cases():
-    assert edge_membership(bs12(), "e1", (3,)) == (3,)
-    assert edge_membership(bs23(), "e1", (3,)) is None
-    assert edge_membership(amalg(), "e1", (4,)) == (2,)
+    assert build_presentation(bs12()).edge_data("e1").preimage((3,)) == (3,)
+    assert build_presentation(bs23()).edge_data("e1").preimage((3,)) is None
+    assert build_presentation(amalg()).edge_data("e1").preimage((4,)) == (2,)
 
 
 @settings(deadline=None, max_examples=30)
@@ -85,7 +84,8 @@ def test_edge_membership_known_cases():
 def test_edge_membership_round_trip(k):
     g = bs23()
     e = g.edge("e1")
-    assert edge_membership(g, e, e.inj_initial.mul_vec((k,))) == (k,)
+    pres = build_presentation(g)
+    assert pres.edge_data(e).preimage(e.inj_initial.mul_vec((k,))) == (k,)
 
 
 def test_presentation_base_and_tree():
@@ -135,4 +135,22 @@ def test_json_rejects_malformed():
     bad2["edges"][0]["from"] = "vX"
     with pytest.raises(ValueError, match="unknown vertex"):
         graph_from_dict(bad2)
+    for field, value in (("vertices", 5), ("edges", None), ("edges", {})):
+        bad3 = graph_to_dict(bs12())
+        bad3[field] = value
+        with pytest.raises(ValueError, match="must be lists"):
+            graph_from_dict(bad3)
+    bad6 = graph_to_dict(bs12())
+    bad6["edges"][0]["inj_initial"] = [[True]]
+    with pytest.raises(ValueError, match="entries must be integers"):
+        graph_from_dict(bad6)
+    for rank in (1.5, True, "1"):
+        bad4 = graph_to_dict(bs12())
+        bad4["vertices"][0]["rank"] = rank
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            graph_from_dict(bad4)
+        bad5 = graph_to_dict(bs12())
+        bad5["edges"][0]["rank"] = rank
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            graph_from_dict(bad5)
     assert graph_from_dict(good) == bs12()

@@ -21,7 +21,14 @@ from vgbs.modulus import (
     shift_length,
 )
 from vgbs.linalg import RatMatrix
-from vgbs.tree import base_vertex, translate, vertices_equal
+from vgbs.tree import (
+    axis_offset,
+    axis_vertex,
+    base_vertex,
+    stabilizer_coords,
+    translate,
+    vertices_equal,
+)
 from vgbs.words import concat, conjugate, express_in_vertex, invert_word, word_power
 
 from fixtures import a_pow, presentation, t_pow
@@ -191,6 +198,44 @@ def test_classify_rejections():
         classify_intersection(p, t_pow(1), a_pow(1))
     with pytest.raises(ValueError):
         classify_intersection(p, a_pow(0), t_pow(1))
+
+
+# --- long fixed runs ----------------------------------------------------
+
+
+def _fixed_at(p, g, h, k) -> bool:
+    """Word-based probe: does g fix the vertex at offset k on the h axis?"""
+    return stabilizer_coords(p, axis_vertex(p, h, base_vertex(p), k), g) is not None
+
+
+@pytest.mark.parametrize("n", [30, 10001])
+def test_classify_long_halfline(n):
+    # a^(2^n) fixes t^k v0 iff 2^(n-k) is an integer: the ray up to k = n.
+    # The origin is compared with the axis vertex at offset n directly:
+    # axis_offset would build the whole geodesic from v0, quadratic in n.
+    p = presentation("bs12")
+    g = a_pow(2**n)
+    shape = classify_intersection(p, g, t_pow(1))
+    assert isinstance(shape, NegativeHalfLine)
+    assert vertices_equal(p, shape.origin, axis_vertex(p, t_pow(1), base_vertex(p), n))
+    assert _fixed_at(p, g, t_pow(1), n)
+    assert not _fixed_at(p, g, t_pow(1), n + 1)
+
+
+def test_classify_long_segment():
+    # a^(2^6 3^6) fixes t^k v0 iff (3/2)^k 2^6 3^6 is an integer: |k| <= 6.
+    p = presentation("bs23")
+    g = a_pow(2**6 * 3**6)
+    shape = classify_intersection(p, g, t_pow(1))
+    assert isinstance(shape, Finite)
+    assert shape.segment.length == 12
+    base = base_vertex(p)
+    assert axis_offset(p, t_pow(1), base, shape.segment.start) == -6
+    assert axis_offset(p, t_pow(1), base, shape.segment.end) == 6
+    for k in (-6, 6):
+        assert _fixed_at(p, g, t_pow(1), k)
+    for k in (-7, 7):
+        assert not _fixed_at(p, g, t_pow(1), k)
 
 
 # --- offsets between shapes ---------------------------------------------
