@@ -3,12 +3,15 @@
 When every vertex group is infinite cyclic, an elliptic element is a
 power of a vertex generator up to conjugacy, and conjugating a power
 across one edge multiplies its exponent by tau/sigma whenever sigma
-divides it.  Only finitely many primes can ever appear in an exponent,
-so a power is described exactly by a vector of prime multiplicities plus
-a sign and the vertex where it lives.  Each oriented edge then becomes a
-counter move with a guard, and conjugacy of gcd-normalized powers turns
-into reachability between two such states, explored breadth-first up to
-a state budget.
+divides it.  Every exponent that can ever appear factors over a coprime
+base: pairwise coprime integers > 1 obtained from the edge scalars and
+the two query exponents by gcd refinement, with no prime factoring.  A
+power is then described exactly by its vector of multiplicities over
+that base plus a sign and the vertex where it lives, and sigma divides
+x exactly when sigma's vector is at most x's in every coordinate.  Each
+oriented edge becomes a counter move with a guard, and conjugacy of
+gcd-normalized powers turns into reachability between two such states,
+explored breadth-first up to a state budget.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 
 from .conjugacy import (
     Conjugate,
@@ -33,8 +37,8 @@ from .words import Word, concat, invert_word, is_trivial, letter_word, word_simp
 
 @dataclass(frozen=True)
 class VASState:
-    """Prime-multiplicity vector of an exponent, its sign, and the vertex
-    carrying the power."""
+    """Multiplicity vector of an exponent over the instance's coprime base,
+    its sign, and the vertex carrying the power."""
 
     exponents: tuple[int, ...]
     sign: int
@@ -57,7 +61,7 @@ class VASTransition:
 
 @dataclass(frozen=True)
 class ReachabilityInstance:
-    primes: tuple[int, ...]
+    base: tuple[int, ...]
     source: VASState
     target: VASState
     transitions: tuple[VASTransition, ...]
@@ -85,25 +89,38 @@ class InconclusiveSearch:
 ReachabilityResult = Reachable | DefinitivelyUnreachable | InconclusiveSearch
 
 
-def _factor(n: int) -> dict[int, int]:
+def _coprime_base(numbers: list[int]) -> tuple[int, ...]:
+    """Pairwise coprime integers > 1, in increasing order, over which all
+    the numbers factor: any two pieces with a gcd g > 1 are split into g
+    and their cofactors, which shrinks the product, until none share one."""
+    base: list[int] = []
+    pending = [abs(x) for x in numbers if abs(x) > 1]
+    while pending:
+        a = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                pending.extend(x for x in (g, a // g, b // g) if x > 1)
+                break
+        else:
+            base.append(a)
+    return tuple(sorted(base))
+
+
+def _valuation(n: int, base: tuple[int, ...]) -> tuple[int, ...]:
+    """Multiplicities of |n| over a coprime base, by exact division."""
     n = abs(n)
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _multiplicities(n: int, primes: tuple[int, ...]) -> tuple[int, ...]:
-    factors = _factor(n)
-    vec = tuple(factors.pop(p, 0) for p in primes)
-    assert not factors
-    return vec
+    vec = []
+    for b in base:
+        k = 0
+        while n % b == 0:
+            n //= b
+            k += 1
+        vec.append(k)
+    if n != 1:
+        raise AssertionError(f"{n} does not factor over the coprime base {base}")
+    return tuple(vec)
 
 
 def _require_rank_one(pres: AdaptedPresentation) -> None:
@@ -138,36 +155,19 @@ def build_reachability_instance(
         raise ValueError("exponents must be nonzero")
     pres.graph.vertex(vertex)
     pres.graph.vertex(target_vertex)
-    seen_primes: set[int] = set()
-    for x in (m, n):
-        seen_primes.update(_factor(x))
-    for e in pres.graph.edges:
-        seen_primes.update(_factor(_edge_scalar(e.inj_initial)))
-        seen_primes.update(_factor(_edge_scalar(e.inj_terminal)))
-    primes = tuple(sorted(seen_primes))
-
+    scalars = [(_edge_scalar(e.inj_initial), _edge_scalar(e.inj_terminal)) for e in pres.graph.edges]
+    base = _coprime_base([m, n, *(x for pair in scalars for x in pair)])
     transitions = []
-    for e in pres.graph.edges:
-        sigma = _edge_scalar(e.inj_initial)
-        tau = _edge_scalar(e.inj_terminal)
-        guard = _multiplicities(sigma, primes)
-        image = _multiplicities(tau, primes)
-        transitions.append(
-            VASTransition(
-                e.id,
-                guard,
-                tuple(i - g for i, g in zip(image, guard)),
-                sigma * tau < 0,
-                e.frm,
-                e.to,
-            )
-        )
+    for e, (sigma, tau) in zip(pres.graph.edges, scalars):
+        guard = _valuation(sigma, base)
+        delta = tuple(i - g for i, g in zip(_valuation(tau, base), guard))
+        transitions.append(VASTransition(e.id, guard, delta, sigma * tau < 0, e.frm, e.to))
 
     def state(x: int, v: str) -> VASState:
-        return VASState(_multiplicities(x, primes), 1 if x > 0 else -1, v)
+        return VASState(_valuation(x, base), 1 if x > 0 else -1, v)
 
     return ReachabilityInstance(
-        primes, state(m, vertex), state(n, target_vertex), tuple(transitions)
+        base, state(m, vertex), state(n, target_vertex), tuple(transitions)
     )
 
 
@@ -181,33 +181,40 @@ def bounded_reachability(
         raise ValueError("state budget must be positive")
     if instance.source == instance.target:
         return Reachable(())
-    parents: dict[VASState, tuple[VASState, str] | None] = {instance.source: None}
-    queue = deque([instance.source])
+    # States are plain (exponents, sign, vertex) tuples; each vertex keeps
+    # its moves in transition order and its guards as (index, minimum) pairs.
+    moves: dict[str, list[tuple]] = {}
+    for tr in instance.transitions:
+        guard = tuple((i, g) for i, g in enumerate(tr.guard) if g)
+        moves.setdefault(tr.from_vertex, []).append(
+            (guard, tr.delta, -1 if tr.sign_flip else 1, tr.to_vertex, tr.edge)
+        )
+    source = (instance.source.exponents, instance.source.sign, instance.source.vertex)
+    target = (instance.target.exponents, instance.target.sign, instance.target.vertex)
+    parents: dict[tuple, tuple | None] = {source: None}
+    queue = deque([source])
     while queue:
         current = queue.popleft()
-        for tr in instance.transitions:
-            if tr.from_vertex != current.vertex:
-                continue
-            if any(c < g for c, g in zip(current.exponents, tr.guard)):
-                continue
-            nxt = VASState(
-                tuple(c + d for c, d in zip(current.exponents, tr.delta)),
-                -current.sign if tr.sign_flip else current.sign,
-                tr.to_vertex,
-            )
-            if nxt in parents:
-                continue
-            parents[nxt] = (current, tr.edge)
-            if nxt == instance.target:
-                edges: list[str] = []
-                state = nxt
-                while (link := parents[state]) is not None:
-                    state, eid = link
-                    edges.append(eid)
-                return Reachable(tuple(reversed(edges)))
-            if len(parents) >= state_budget:
-                return InconclusiveSearch(len(parents), state_budget)
-            queue.append(nxt)
+        exponents, sign, vertex = current
+        for guard, delta, flip, to_vertex, edge in moves.get(vertex, ()):
+            for i, g in guard:
+                if exponents[i] < g:
+                    break
+            else:
+                nxt = (tuple(map(add, exponents, delta)), sign * flip, to_vertex)
+                if nxt in parents:
+                    continue
+                parents[nxt] = (current, edge)
+                if nxt == target:
+                    edges: list[str] = []
+                    state = nxt
+                    while (link := parents[state]) is not None:
+                        state, eid = link
+                        edges.append(eid)
+                    return Reachable(tuple(reversed(edges)))
+                if len(parents) >= state_budget:
+                    return InconclusiveSearch(len(parents), state_budget)
+                queue.append(nxt)
     return DefinitivelyUnreachable(len(parents))
 
 

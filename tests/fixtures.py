@@ -32,25 +32,27 @@ def _m(rows, cols):
     return IntMatrix.from_rows(rows, cols=cols)
 
 
-def bs12() -> VGBSGraph:
+MERSENNE_61 = 2**61 - 1
+
+
+def bs(p: int, q: int) -> VGBSGraph:
+    """BS(p, q) as one rank-1 vertex with a loop: t a^p t⁻¹ = a^q."""
     return VGBSGraph(
         (Vertex("v0", 1),),
-        _loop_pair("e1", "v0", 1, _m([[1]], 1), _m([[2]], 1)),
+        _loop_pair("e1", "v0", 1, _m([[p]], 1), _m([[q]], 1)),
     )
+
+
+def bs12() -> VGBSGraph:
+    return bs(1, 2)
 
 
 def bs23() -> VGBSGraph:
-    return VGBSGraph(
-        (Vertex("v0", 1),),
-        _loop_pair("e1", "v0", 1, _m([[2]], 1), _m([[3]], 1)),
-    )
+    return bs(2, 3)
 
 
 def klein() -> VGBSGraph:
-    return VGBSGraph(
-        (Vertex("v0", 1),),
-        _loop_pair("e1", "v0", 1, _m([[1]], 1), _m([[-1]], 1)),
-    )
+    return bs(1, -1)
 
 
 def amalg() -> VGBSGraph:

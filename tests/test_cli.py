@@ -7,6 +7,7 @@ nothing here is derived from the CLI's own output.
 
 import json
 import random
+from time import perf_counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from vgbs.cli import parse_word, parse_word_list, render_word, run_command
 from vgbs.graph import graph_to_dict
 from vgbs.words import Word, concat, invert_word, is_trivial
 
-from fixtures import ALL_GRAPHS, presentation, random_word
+from fixtures import ALL_GRAPHS, MERSENNE_61, bs, presentation, random_word
 
 
 @pytest.fixture
@@ -279,6 +280,33 @@ def test_conjugate_budget_flag_reports_inconclusive(graph_file, capsys):
     assert out["kind"] == "inconclusive"
     assert out["budget"] == 5
     assert out["explored"] >= 5
+
+
+def test_conjugate_huge_scalar_refuses_at_budget(tmp_path, capsys):
+    # x^(2^61-1)^k for every k >= 0 is conjugate to x, so the search must
+    # give up at the budget, and no setup step may stall before it starts.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(graph_to_dict(bs(1, MERSENNE_61))))
+    begin = perf_counter()
+    code, out = run(capsys, "conjugate", str(path), "[xv0(1)]", "[xv0(3)]", "--budget", "1000")
+    assert perf_counter() - begin < 2.0
+    assert code == 2
+    assert out == {"kind": "inconclusive", "explored": 1000, "budget": 1000}
+
+
+def test_conjugate_huge_exponent_not_conjugate(graph_file, capsys):
+    # In bs23 an exponent prime to 6 is fixed by every crossing.
+    begin = perf_counter()
+    code, out = run(
+        capsys,
+        "conjugate",
+        graph_file("bs23"),
+        f"[xv0({MERSENNE_61})]",
+        f"[xv0({3 * MERSENNE_61})]",
+    )
+    assert perf_counter() - begin < 2.0
+    assert code == 0
+    assert out["kind"] == "not_conjugate"
 
 
 def test_conjugate_polycyclic_reduction(graph_file, capsys):

@@ -6,6 +6,8 @@ flips signs, and in bs12 exponents double going up the ladder.
 """
 
 import random
+from collections import deque
+from time import perf_counter
 
 import pytest
 
@@ -22,6 +24,7 @@ from vgbs.gbs import (
     Reachable,
     VASState,
     VASTransition,
+    _valuation,
     bounded_reachability,
     build_reachability_instance,
     elliptic_exponent_form,
@@ -40,7 +43,12 @@ from vgbs.words import (
     words_equal,
 )
 
-from fixtures import a_pow, presentation, t_pow
+from vgbs.graph import Edge, VGBSGraph, Vertex, build_presentation
+from vgbs.linalg import IntMatrix
+
+from fixtures import MERSENNE_61, a_pow, bs, presentation, t_pow
+
+PRIME_1E12 = 999_999_999_989
 
 
 # --- exponent form ------------------------------------------------------
@@ -78,12 +86,30 @@ def test_exponent_form_rejects_hyperbolic_and_high_rank():
 
 def test_instance_encoding_bs23():
     inst = build_reachability_instance(presentation("bs23"), 2, "v0", 3, "v0")
-    assert inst.primes == (2, 3)
+    assert inst.base == (2, 3)
     assert inst.source == VASState((1, 0), 1, "v0")
     assert inst.target == VASState((0, 1), 1, "v0")
     by_edge = {tr.edge: tr for tr in inst.transitions}
     assert by_edge["e1"] == VASTransition("e1", (1, 0), (-1, 1), False, "v0", "v0")
     assert by_edge["e1bar"] == VASTransition("e1bar", (0, 1), (1, -1), False, "v0", "v0")
+
+
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [(6, 36, (6,)), (4, 6, (2, 3)), (2, PRIME_1E12, (2, PRIME_1E12))],
+)
+def test_instance_base_is_coprime_not_prime(p, q, expected):
+    # The base need not be prime: 6 and 36 refine to 6 alone, and a large
+    # prime scalar stays as itself without being factored.
+    inst = build_reachability_instance(build_presentation(bs(p, q)), p, "v0", q, "v0")
+    assert inst.base == expected
+    assert bounded_reachability(inst) == Reachable(("e1",))
+
+
+def test_valuation_rejects_numbers_outside_the_base():
+    assert _valuation(-72, (2, 3)) == (3, 2)
+    with pytest.raises(AssertionError):
+        _valuation(10, (2, 3))
 
 
 def test_instance_rejects_zero_exponent():
@@ -107,7 +133,7 @@ def test_reach_bs23_doubling_is_impossible():
 
 def test_reach_klein_flips_sign():
     inst = build_reachability_instance(presentation("klein"), 1, "v0", -1, "v0")
-    assert inst.primes == ()
+    assert inst.base == ()
     assert bounded_reachability(inst) == Reachable(("e1",))
 
 
@@ -155,6 +181,89 @@ def test_reach_replay_sweep():
                     assert not is_trivial(
                         p, concat(w, a_pow(m), invert_word(p, w), a_pow(-n))
                     )
+
+
+def _raw_reachability(pres, m, vertex, n, target_vertex, budget):
+    """Breadth-first search over (vertex, signed exponent) pairs, moving x
+    to x/sigma*tau across an edge when sigma divides x: the same search as
+    bounded_reachability without the counter encoding."""
+    moves = [
+        (e.frm, e.inj_initial.entries[0][0], e.inj_terminal.entries[0][0], e.to, e.id)
+        for e in pres.graph.edges
+    ]
+    source, target = (vertex, m), (target_vertex, n)
+    if source == target:
+        return Reachable(())
+    parents = {source: None}
+    queue = deque([source])
+    while queue:
+        current = queue.popleft()
+        for frm, sigma, tau, to, eid in moves:
+            if frm != current[0] or current[1] % sigma:
+                continue
+            nxt = (to, current[1] // sigma * tau)
+            if nxt in parents:
+                continue
+            parents[nxt] = (current, eid)
+            if nxt == target:
+                edges = []
+                while parents[nxt] is not None:
+                    nxt, eid = parents[nxt]
+                    edges.append(eid)
+                return Reachable(tuple(reversed(edges)))
+            if len(parents) >= budget:
+                return InconclusiveSearch(len(parents), budget)
+            queue.append(nxt)
+    return DefinitivelyUnreachable(len(parents))
+
+
+def _random_rank_one_graph(rng):
+    n_vertices = rng.randint(1, 3)
+    vertices = tuple(Vertex(f"v{i}", 1) for i in range(n_vertices))
+    ends = [(rng.randrange(i), i) for i in range(1, n_vertices)]
+    ends += [(rng.randrange(n_vertices), rng.randrange(n_vertices)) for _ in range(rng.randint(0, 2))]
+    if n_vertices == 1 and not ends:
+        ends = [(0, 0)]
+    edges = []
+    for k, (u, v) in enumerate(ends, start=1):
+        sigma, tau = (IntMatrix.from_rows([[rng.choice((1, -1, 2, 3, 4, 6))]], cols=1) for _ in range(2))
+        edges.append(Edge(f"e{k}", f"v{u}", f"v{v}", 1, sigma, tau, f"e{k}bar"))
+        edges.append(Edge(f"e{k}bar", f"v{v}", f"v{u}", 1, tau, sigma, f"e{k}"))
+    return VGBSGraph(vertices, tuple(edges))
+
+
+def test_reach_matches_raw_integer_search():
+    # Verdict, closure size and edge path all agree with a search over the
+    # exponents themselves, whether or not the budget runs out.
+    rng = random.Random(11)
+    exponents = [s * x for s in (1, -1) for x in (1, 2, 3, 4, 6, 8, 9, 12, 18, 36)]
+    seen = set()
+    for _ in range(300):
+        pres = build_presentation(_random_rank_one_graph(rng))
+        names = [v.id for v in pres.graph.vertices]
+        m, n = rng.choice(exponents), rng.choice(exponents)
+        u, v = rng.choice(names), rng.choice(names)
+        budget = rng.choice((3, 10, 60, 400))
+        inst = build_reachability_instance(pres, m, u, n, v)
+        result = bounded_reachability(inst, budget)
+        assert result == _raw_reachability(pres, m, u, n, v, budget), (pres.graph, m, u, n, v)
+        if result != Reachable(()):
+            seen.add(type(result))
+    assert seen == {Reachable, DefinitivelyUnreachable, InconclusiveSearch}
+
+
+# --- huge scalars and exponents -----------------------------------------
+
+
+def test_mersenne_scalar_conjugacy_replays_quickly():
+    # BS(1, 2^61-1): x and x^(2^61-1) are conjugate by the stable letter.
+    begin = perf_counter()
+    p = build_presentation(bs(1, MERSENNE_61))
+    ans = gbs_multi_conjugate(p, (a_pow(1),), (a_pow(MERSENNE_61),))
+    assert isinstance(ans, Conjugate)
+    w = ans.witness
+    assert is_trivial(p, concat(w, a_pow(1), invert_word(p, w), a_pow(-MERSENNE_61)))
+    assert perf_counter() - begin < 2.0
 
 
 # --- elliptic tuple conjugacy -------------------------------------------
