@@ -148,8 +148,8 @@ def _common_fixed_vertex(pres, items) -> TreeVertex:
             current = profile.fixed
         elif stabilizer_coords(pres, current, w) is None:
             path = tree_path(pres, profile.fixed, current)
-            fixed = fixed_prefix(pres, (s.edge for s in path.steps), profile.coords)
-            current = path.vertices[fixed]
+            fixed = fixed_prefix(pres, path.edges, profile.coords)
+            current = path.vertex(fixed)
     if current is None:
         return base_vertex(pres)
     for w in items:
@@ -171,10 +171,10 @@ def conjugate_hyperbolic(pres: AdaptedPresentation, a: Word, b: Word) -> Conjuga
         raise ValueError("both elements must be hyperbolic")
     if pa.length != pb.length:
         return NotConjugate("translation lengths differ")
-    v = pa.fundamental_domain.vertices[0]
+    v = pa.fundamental_domain.start
     dom = pb.fundamental_domain
     for j in range(pb.length):
-        vj = dom.vertices[j]
+        vj = dom.vertex(j)
         if vj.rep != v.rep:
             continue
         mover = word_simplify(pres, concat(vj.carrier, invert_word(pres, v.carrier)))
@@ -204,7 +204,7 @@ def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
     if profile.kind != HYPERBOLIC:
         raise ValueError("centralizers are computed for hyperbolic elements")
     dom = profile.fundamental_domain
-    w0 = dom.vertices[0]
+    w0 = dom.start
 
     sols = local_conjugators(pres, w0, h, h)
     parts = sols.parts
@@ -213,7 +213,7 @@ def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
 
     shift = None
     for k in range(1, profile.length + 1):
-        vk = dom.vertices[k]
+        vk = dom.vertex(k)
         if vk.rep != w0.rep:
             continue
         mover = word_simplify(pres, concat(vk.carrier, invert_word(pres, w0.carrier)))

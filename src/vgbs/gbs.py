@@ -31,7 +31,7 @@ from .conjugacy import (
     find_hyperbolic_in_tuple,
 )
 from .graph import AdaptedPresentation
-from .tree import ELLIPTIC, TreeVertex, stabilizer_coords, translation_profile
+from .tree import TreeVertex, stabilizer_coords
 from .words import Word, concat, invert_word, is_trivial, letter_word, word_simplify
 
 
@@ -130,19 +130,6 @@ def _require_rank_one(pres: AdaptedPresentation) -> None:
 
 def _edge_scalar(mat) -> int:
     return mat.entries[0][0]
-
-
-def elliptic_exponent_form(
-    pres: AdaptedPresentation, g: Word
-) -> tuple[str, int, Word]:
-    """(vertex id, exponent, conjugator): conjugating g by the returned
-    word gives that power of the vertex generator."""
-    _require_rank_one(pres)
-    profile = translation_profile(pres, g)
-    if profile.kind != ELLIPTIC:
-        raise ValueError("element is not elliptic")
-    fixed = profile.fixed
-    return fixed.rep, profile.coords[0], invert_word(pres, fixed.carrier)
 
 
 def build_reachability_instance(

@@ -19,9 +19,8 @@ from .linalg import (
     IntMatrix,
     IntVec,
     Lattice,
+    column_hnf_with_transform,
     integer_kernel,
-    int_vec,
-    is_integral_vec,
     left_inverse,
 )
 
@@ -235,23 +234,34 @@ def validate_graph(graph: VGBSGraph) -> ValidationReport:
 
 
 class _EdgeData:
-    """Per-oriented-edge solver: image lattice, exact preimages, transport."""
+    """Per-oriented-edge solver: image lattice, exact preimages, transport.
+
+    inj_initial is injective, so its column Hermite form is inj_initial·U
+    with U unimodular and no zero column: that is the image basis, and
+    basis coordinates q of an image element have preimage U·q.
+    """
 
     def __init__(self, edge: Edge):
         self.edge = edge
-        self.image = Lattice(edge.inj_initial.rows, edge.inj_initial)
-        self.left_inv = left_inverse(edge.inj_initial.rational())
-        # transport carries inj_initial-images to inj_terminal-images
-        self.transport = edge.inj_terminal.rational().mul(self.left_inv)
+        H, self.unimodular = column_hnf_with_transform(edge.inj_initial)
+        self.image = Lattice(edge.inj_initial.rows, H)
+        # carries image coordinates across: t(e)·s(H·q)·t(ē) = s(across·q)
+        self.across = edge.inj_terminal.mul(self.unimodular)
+        # rational form of the same map on the image span, for the
+        # symbolic solvers
+        self.transport = edge.inj_terminal.rational().mul(
+            left_inverse(edge.inj_initial.rational())
+        )
 
     def preimage(self, x: Sequence[int]) -> IntVec | None:
-        candidate = self.left_inv.mul_vec(x)
-        if not is_integral_vec(candidate):
-            return None
-        k = int_vec(candidate)
-        if self.edge.inj_initial.mul_vec(k) != tuple(x):
-            return None
-        return k
+        q = self.image.member_coords(x)
+        return None if q is None else self.unimodular.mul_vec(q)
+
+    def split_across(self, c: Sequence[int]) -> tuple[IntVec, IntVec | None]:
+        """(r, moved) with c = r + basis·q and r canonical: moved = across·q
+        is what crossing the edge carries into the next term, None if 0."""
+        q, r = self.image.split(c)
+        return r, self.across.mul_vec(q) if any(q) else None
 
 
 class AdaptedPresentation:
@@ -259,8 +269,9 @@ class AdaptedPresentation:
 
     Group elements are words in vertex-group syllables and stable letters,
     one letter per oriented edge, with tree-edge letters equal to the
-    identity.  Instances own the caches used by the word, tree, and
-    conjugacy machinery, so reuse one presentation per graph.
+    identity.  Instances own the caches of edge data, spanning-tree
+    routes, translation profiles and moduli, so reuse one presentation
+    per graph.
     """
 
     def __init__(
@@ -281,7 +292,6 @@ class AdaptedPresentation:
         self.tree_edge_ids = frozenset(tree_ids)
         self._edge_data: dict[str, _EdgeData] = {}
         self._routes: dict[tuple[str, str], tuple[Edge, ...]] = {}
-        self._reduced: dict = {}
         self._profiles: dict = {}
         self._moduli: dict = {}
 
@@ -309,10 +319,8 @@ class AdaptedPresentation:
         """Cross one edge: defined on the inj_initial image, lands in the
         inj_terminal image; None when x is outside the domain."""
         data = self.edge_data(edge)
-        k = data.preimage(x)
-        if k is None:
-            return None
-        return data.edge.inj_terminal.mul_vec(k)
+        q = data.image.member_coords(x)
+        return None if q is None else data.across.mul_vec(q)
 
     def tree_route(self, u: str, v: str) -> tuple[Edge, ...]:
         """Oriented edges of the spanning-tree path from u to v."""

@@ -340,28 +340,28 @@ class Lattice:
         return self.basis.cols
 
     @cached_property
-    def _pivot_rows(self) -> tuple[int, ...]:
-        return tuple(_first_nonzero(self.basis.column(j)) for j in range(self.basis.cols))
+    def _pivot_columns(self) -> tuple[tuple[int, IntVec], ...]:
+        return tuple((_first_nonzero(col), col) for col in self.basis.columns())
 
-    def member_coords(self, v: Sequence[int]) -> IntVec | None:
-        """Integer coordinates of v in the basis, or None if v is not a member."""
+    def split(self, v: Sequence[int]) -> tuple[IntVec, IntVec]:
+        """(q, r) with v = basis·q + r and r the canonical representative
+        of v + self: each pivot entry of r lies in [0, pivot)."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong dimension")
         residual = list(v)
         coords = []
-        for j in range(self.basis.cols):
-            col = self.basis.column(j)
-            r = self._pivot_rows[j]
-            q, rem = divmod(residual[r], col[r])
-            if rem:
-                return None
+        for r, col in self._pivot_columns:
+            q = residual[r] // col[r]
             if q:
                 for i in range(r, self.ambient_dim):
                     residual[i] -= q * col[i]
             coords.append(q)
-        if any(residual):
-            return None
-        return tuple(coords)
+        return tuple(coords), tuple(residual)
+
+    def member_coords(self, v: Sequence[int]) -> IntVec | None:
+        """Integer coordinates of v in the basis, or None if v is not a member."""
+        q, r = self.split(v)
+        return None if any(r) else q
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.member_coords(v) is not None
@@ -371,15 +371,7 @@ class Lattice:
 
     def reduce_vector(self, v: Sequence[int]) -> IntVec:
         """Canonical representative of v + self; constant on cosets."""
-        residual = list(v)
-        for j in range(self.basis.cols):
-            col = self.basis.column(j)
-            r = self._pivot_rows[j]
-            q = residual[r] // col[r]
-            if q:
-                for i in range(r, self.ambient_dim):
-                    residual[i] -= q * col[i]
-        return tuple(residual)
+        return self.split(v)[1]
 
     def span(self) -> RatSubspace:
         return RatSubspace(self.ambient_dim, self.basis.rational())

@@ -107,7 +107,7 @@ def compute_modulus(
     if profile.kind != HYPERBOLIC:
         raise ValueError("modulus is only defined for hyperbolic elements")
     if basepoint is None:
-        basepoint = profile.fundamental_domain.vertices[0]
+        basepoint = profile.fundamental_domain.start
     key = (h, basepoint)
     cached = pres._moduli.get(key)
     if cached is not None:
@@ -124,13 +124,11 @@ def compute_modulus(
     # the coordinate vector of h s(x) h^-1 back at the basepoint.
     transport = RatMatrix.identity(rank)
     fixators = Lattice.full(rank)
-    for step in period.steps:
-        pre = affine_preimage(
-            (0,) * rank, transport, pres.edge_image(step.edge)
-        )
+    for e in period.edges:
+        pre = affine_preimage((0,) * rank, transport, pres.edge_image(e))
         assert pre is not None  # homogeneous, so 0 always solves
         fixators = intersect_lattices(fixators, pre.lattice)
-        transport = pres.edge_data(step.edge).transport.mul(transport)
+        transport = pres.edge_data(e).transport.mul(transport)
 
     span = saturate_lattice(fixators)
     while True:
@@ -185,7 +183,7 @@ def halfline_fixation(
         return False
     period = axis_period(pres, h, mod.basepoint, direction)
     checks = period.length * cyclic.dim
-    walk = islice(cycle(s.edge for s in period.steps), checks)
+    walk = islice(cycle(period.edges), checks)
     return fixed_prefix(pres, walk, coords) == checks
 
 
@@ -203,24 +201,24 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
         raise ValueError("first element must be nontrivial")
     g_profile = translation_profile(pres, g)
     elliptic = g_profile.kind == ELLIPTIC
-    witness_h = h_profile.fundamental_domain.vertices[0]
+    witness_h = h_profile.fundamental_domain.start
 
     # Both characteristic spaces are convex, so along the connecting path
     # membership in the first is a prefix and in the second a suffix.
     if elliptic:
         path = tree_path(pres, g_profile.fixed, witness_h)
-        a = fixed_prefix(pres, (s.edge for s in path.steps), g_profile.coords)
+        a = fixed_prefix(pres, path.edges, g_profile.coords)
     else:
-        path = tree_path(pres, g_profile.fundamental_domain.vertices[0], witness_h)
+        path = tree_path(pres, g_profile.fundamental_domain.start, witness_h)
         a = 0
-        while a < path.length and on_characteristic_space(pres, g, path.vertices[a + 1]):
+        while a < path.length and on_characteristic_space(pres, g, path.vertex(a + 1)):
             a += 1
     b = path.length
-    while b > 0 and on_characteristic_space(pres, h, path.vertices[b - 1]):
+    while b > 0 and on_characteristic_space(pres, h, path.vertex(b - 1)):
         b -= 1
     if a < b:
         return Empty(bridge=path.subpath(a, b))
-    meet = path.vertices[b]
+    meet = path.vertex(b)
 
     if elliptic:
         coords = stabilizer_coords(pres, meet, g)
@@ -231,7 +229,7 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
             halfline_fixation(pres, h, g, 1, meet),
             halfline_fixation(pres, h, g, -1, meet),
             lambda d: fixed_prefix(
-                pres, cycle(s.edge for s in axis_period(pres, h, meet, d).steps), coords
+                pres, cycle(axis_period(pres, h, meet, d).edges), coords
             ),
         )
 

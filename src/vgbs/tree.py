@@ -1,30 +1,31 @@
 """Navigation of the Bass-Serre tree.
 
-Tree vertices are cosets g·ṽ, stored as a carrier word g and the orbit
-representative v.  A path step is a carrier h and an oriented graph edge
-e; it runs from h·ṽ_frm(e) to h·t(ē)·ṽ_to(e), and its pointwise
-stabilizer is the inj_initial image sitting inside the group at frm(e).
-Geodesics come from reduced path forms of the carrier quotient, so every
-decision here rests on the word problem, except how far an elliptic
-element stays fixed along a walk: that follows edge transports of its
-stabilizer coordinates (fixed_prefix).
+Tree vertices are cosets g·ṽ, stored as normal forms: the geodesic from
+the base vertex as (edge, term) steps with canonical terms (TreeVertex).
+Equal vertices are equal values, and the geodesic between two vertices
+is read off the longest common prefix of their normal forms, so paths
+and distances need no word problem.  translate reduces only the word it
+applies, and how far an elliptic element stays fixed along a walk
+follows edge transports of its stabilizer coordinates (fixed_prefix);
+stabilizer questions (stabilizer_coords) are the ones left to the word
+problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .graph import AdaptedPresentation, Edge
-from .linalg import IntVec
+from .linalg import IntVec, add_vec, zero_vec
 from .words import (
+    StableSyllable,
+    VertexSyllable,
     Word,
     concat,
     conjugate,
     express_in_vertex,
     invert_word,
-    letter_word,
     reduced_form,
     vertex_word,
     word_power,
@@ -37,57 +38,61 @@ HYPERBOLIC = "hyperbolic"
 
 @dataclass(frozen=True)
 class TreeVertex:
-    carrier: Word
+    """The vertex c₁·t(ē₁)·c₂·t(ē₂)···cₚ·t(ēₚ)·ṽ_rep, kept as its normal
+    form (Serre, *Trees*, §I.5.2, Thm 11): steps[i] = (eᵢ₊₁, cᵢ₊₁) walks
+    the geodesic from the base vertex, and each term c is the canonical
+    representative of its coset modulo the inj_initial image of its edge
+    (Lattice.reduce_vector).  Every coset has exactly one such form, so
+    equal vertices compare and hash equal, and steps[:d] is the vertex at
+    depth d on the geodesic."""
+
+    steps: tuple[tuple[Edge, IntVec], ...]
     rep: str
 
-
-@dataclass(frozen=True)
-class PathStep:
-    carrier: Word
-    edge: Edge
-
     @property
-    def frm(self) -> str:
-        return self.edge.frm
+    def carrier(self) -> Word:
+        """A word g with self = g·ṽ_rep."""
+        syllables: list = []
+        for e, term in self.steps:
+            if any(term):
+                syllables.append(VertexSyllable(e.frm, term))
+            syllables.append(StableSyllable(e.reverse))
+        return Word(tuple(syllables))
 
-    @property
-    def to(self) -> str:
-        return self.edge.to
+    def ancestor(self, depth: int) -> TreeVertex:
+        """The vertex at this depth on the geodesic from the base vertex."""
+        if depth == len(self.steps):
+            return self
+        return TreeVertex(self.steps[:depth], self.steps[depth][0].frm)
 
 
 @dataclass(frozen=True)
 class TreePath:
-    """Geodesic: steps[i] joins vertices[i] to vertices[i+1]."""
+    """Geodesic from start to end: up from start to the last vertex their
+    normal forms share, then down to end.  edges[i] joins vertex(i) to
+    vertex(i + 1); a vertex is built only when it is read."""
 
-    vertices: tuple[TreeVertex, ...]
-    steps: tuple[PathStep, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) != len(self.steps) + 1:
-            raise ValueError("inconsistent path lengths")
+    start: TreeVertex
+    end: TreeVertex
+    edges: tuple[Edge, ...]
 
     @property
     def length(self) -> int:
-        return len(self.steps)
+        return len(self.edges)
 
-    @property
-    def start(self) -> TreeVertex:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> TreeVertex:
-        return self.vertices[-1]
+    def vertex(self, i: int) -> TreeVertex:
+        if not 0 <= i <= self.length:
+            raise IndexError("vertex index outside the path")
+        depth_x, depth_y = len(self.start.steps), len(self.end.steps)
+        up = (depth_x - depth_y + self.length) // 2
+        if i <= up:
+            return self.start.ancestor(depth_x - i)
+        return self.end.ancestor(depth_y - self.length + i)
 
     def subpath(self, i: int, j: int) -> TreePath:
         if not 0 <= i <= j <= self.length:
             raise ValueError("bad subpath bounds")
-        return TreePath(self.vertices[i : j + 1], self.steps[i:j])
-
-
-@dataclass(frozen=True)
-class Subtree:
-    vertices: tuple[TreeVertex, ...]
-    edges: tuple[PathStep, ...]
+        return TreePath(self.vertex(i), self.vertex(j), self.edges[i:j])
 
 
 @dataclass(frozen=True)
@@ -105,18 +110,55 @@ class TranslationProfile:
 
 
 def base_vertex(pres: AdaptedPresentation) -> TreeVertex:
-    return TreeVertex(Word.identity(), pres.base)
+    return TreeVertex((), pres.base)
 
 
 def translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> TreeVertex:
-    return TreeVertex(word_simplify(pres, concat(g, x.carrier)), x.rep)
+    """g·x in normal form: the reduced loop form of g joined to x's steps.
+
+    Both sides are reduced, so backtracking pairs cancel only at the
+    junction.  Then each term c is split over its edge image, c = r +
+    basis·q, and c·t(ē) = r·t(ē)·s(across·q) moves q into the next term;
+    once q is 0 inside x's steps, the rest of them stand as they are.
+    The last term fixes the vertex and is dropped.
+    """
+    steps = x.steps
+    zero = zero_vec(pres.vertex_rank(x.rep))
+
+    def term(k: int) -> IntVec:
+        return steps[k][1] if k < len(steps) else zero
+
+    pf = reduced_form(pres, g)
+    edges, terms = list(pf.edges), list(pf.terms)
+    terms[-1] = add_vec(terms[-1], term(0))
+    kept = 0
+    while kept < len(steps) and edges and edges[-1].reverse == steps[kept][0].id:
+        moved = pres.transport_across(steps[kept][0], terms[-1])
+        if moved is None:
+            break
+        edges.pop()
+        terms.pop()
+        kept += 1
+        terms[-1] = add_vec(add_vec(terms[-1], moved), term(kept))
+
+    out: list[tuple[Edge, IntVec]] = []
+    carry = terms[0]
+    for e, c in zip(edges, terms[1:]):
+        r, moved = pres.edge_data(e).split_across(carry)
+        out.append((e, r))
+        carry = c if moved is None else add_vec(c, moved)
+    for k in range(kept, len(steps)):
+        e = steps[k][0]
+        r, moved = pres.edge_data(e).split_across(carry)
+        out.append((e, r))
+        if moved is None:
+            return TreeVertex(tuple(out) + steps[k + 1 :], x.rep)
+        carry = add_vec(term(k + 1), moved)
+    return TreeVertex(tuple(out), x.rep)
 
 
 def vertices_equal(pres: AdaptedPresentation, x: TreeVertex, y: TreeVertex) -> bool:
-    if x.rep != y.rep:
-        return False
-    shift = concat(invert_word(pres, x.carrier), y.carrier)
-    return express_in_vertex(pres, shift, x.rep) is not None
+    return x == y
 
 
 def stabilizer_coords(pres: AdaptedPresentation, x: TreeVertex, w: Word) -> IntVec | None:
@@ -130,73 +172,19 @@ def stabilizer_element(pres: AdaptedPresentation, x: TreeVertex, vec: Sequence[i
 
 
 def tree_path(pres: AdaptedPresentation, x: TreeVertex, y: TreeVertex) -> TreePath:
-    """Unique geodesic from x to y.
-
-    The reduced path form of x.carrier⁻¹ · y.carrier, read from x.rep to
-    y.rep, is exactly the walk of the geodesic; translating the carriers
-    back by x.carrier places it at x.
-    """
-    shift = word_simplify(pres, concat(invert_word(pres, x.carrier), y.carrier))
-    pf = reduced_form(pres, shift, base=x.rep, end=y.rep)
-    vertices = [x]
-    steps: list[PathStep] = []
-    cur = x.carrier
-    for i, e in enumerate(pf.edges):
-        step_carrier = word_simplify(pres, concat(cur, vertex_word(pf.vertices[i], pf.terms[i])))
-        steps.append(PathStep(step_carrier, e))
-        cur = word_simplify(pres, concat(step_carrier, letter_word(e.reverse)))
-        vertices.append(TreeVertex(cur, e.to))
-    if steps:
-        vertices[-1] = y
-    return TreePath(tuple(vertices), tuple(steps))
+    """Unique geodesic from x to y: back up x's normal form to the longest
+    prefix it shares with y's, then down y's remaining steps."""
+    meet = 0
+    for a, b in zip(x.steps, y.steps):
+        if a != b:
+            break
+        meet += 1
+    up = tuple(pres.reverse(e) for e, _ in reversed(x.steps[meet:]))
+    return TreePath(x, y, up + tuple(e for e, _ in y.steps[meet:]))
 
 
 def distance(pres: AdaptedPresentation, x: TreeVertex, y: TreeVertex) -> int:
     return tree_path(pres, x, y).length
-
-
-def step_reverse(pres: AdaptedPresentation, s: PathStep) -> PathStep:
-    rev = pres.reverse(s.edge)
-    carrier = word_simplify(pres, concat(s.carrier, letter_word(rev.id)))
-    return PathStep(carrier, rev)
-
-
-def steps_equal(
-    pres: AdaptedPresentation, s1: PathStep, s2: PathStep, oriented: bool = True
-) -> bool:
-    if not oriented and steps_equal(pres, s1, step_reverse(pres, s2), oriented=True):
-        return True
-    if s1.edge.id != s2.edge.id:
-        return False
-    shift = concat(invert_word(pres, s2.carrier), s1.carrier)
-    d = express_in_vertex(pres, shift, s1.edge.frm)
-    return d is not None and pres.edge_image(s1.edge).contains(d)
-
-
-def convex_hull(pres: AdaptedPresentation, vs: Sequence[TreeVertex]) -> Subtree:
-    """Union of pairwise geodesics, deduplicated semantically."""
-    if not vs:
-        raise ValueError("convex hull of nothing")
-    verts: list[TreeVertex] = []
-    edges: list[PathStep] = []
-
-    def add_vertex(v: TreeVertex) -> None:
-        if not any(vertices_equal(pres, v, u) for u in verts):
-            verts.append(v)
-
-    def add_step(s: PathStep) -> None:
-        if not any(steps_equal(pres, s, t, oriented=False) for t in edges):
-            edges.append(s)
-
-    add_vertex(vs[0])
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            path = tree_path(pres, vs[i], vs[j])
-            for v in path.vertices:
-                add_vertex(v)
-            for s in path.steps:
-                add_step(s)
-    return Subtree(tuple(verts), tuple(edges))
 
 
 def translation_profile(pres: AdaptedPresentation, w: Word) -> TranslationProfile:
@@ -214,7 +202,8 @@ def translation_profile(pres: AdaptedPresentation, w: Word) -> TranslationProfil
         profile = TranslationProfile(0, ELLIPTIC, x0, None, stabilizer_coords(pres, x0, ws))
     else:
         best: tuple[int, TreePath] | None = None
-        for x in first.vertices:
+        for i in range(first.length + 1):
+            x = first.vertex(i)
             px = tree_path(pres, x, translate(pres, ws, x))
             if px.length == 0:
                 profile = TranslationProfile(0, ELLIPTIC, x, None, stabilizer_coords(pres, x, ws))
@@ -230,10 +219,6 @@ def translation_profile(pres: AdaptedPresentation, w: Word) -> TranslationProfil
 
 def translation_length(pres: AdaptedPresentation, w: Word) -> int:
     return translation_profile(pres, w).length
-
-
-def is_elliptic(pres: AdaptedPresentation, w: Word) -> bool:
-    return translation_profile(pres, w).kind == ELLIPTIC
 
 
 def on_characteristic_space(pres: AdaptedPresentation, w: Word, x: TreeVertex) -> bool:
@@ -261,7 +246,7 @@ def axis_vertex(pres: AdaptedPresentation, h: Word, origin: TreeVertex, k: int) 
     meaning the translation direction.  origin must lie on the axis."""
     span = axis_period(pres, h, origin, 1)
     n, r = divmod(k, span.length)
-    return translate(pres, word_power(pres, h, n), span.vertices[r])
+    return translate(pres, word_power(pres, h, n), span.vertex(r))
 
 
 def axis_vertices(
@@ -270,10 +255,11 @@ def axis_vertices(
     """The vertices after origin along the axis of h in the given
     direction, without end.  origin must lie on the axis."""
     period = axis_period(pres, h, origin, direction)
-    for n in count():
-        shift = word_power(pres, h, direction * n)
-        for v in period.vertices[1:]:
-            yield translate(pres, shift, v)
+    step = word_power(pres, h, direction)
+    vertices = [period.vertex(i) for i in range(1, period.length + 1)]
+    while True:
+        yield from vertices
+        vertices = [translate(pres, step, v) for v in vertices]
 
 
 def fixed_prefix(pres: AdaptedPresentation, edges: Iterable[Edge], coords: IntVec) -> int:
@@ -298,8 +284,8 @@ def axis_offset(pres: AdaptedPresentation, h: Word, x: TreeVertex, y: TreeVertex
     d = distance(pres, x, y)
     if d == 0:
         return 0
-    if vertices_equal(pres, axis_vertex(pres, h, x, d), y):
+    if axis_vertex(pres, h, x, d) == y:
         return d
-    if vertices_equal(pres, axis_vertex(pres, h, x, -d), y):
+    if axis_vertex(pres, h, x, -d) == y:
         return -d
     raise ValueError("vertices do not share the axis")

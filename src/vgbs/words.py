@@ -252,17 +252,12 @@ def reduced_form(
     pres: AdaptedPresentation, w: Word, base: str | None = None, end: str | None = None
 ) -> PathForm:
     """Reduced path form of w from base to end (both default to the
-    presentation base); cached on the presentation."""
+    presentation base)."""
     if base is None:
         base = pres.base
     if end is None:
         end = base
-    key = (w, base, end)
-    cached = pres._reduced.get(key)
-    if cached is None:
-        cached = reduce_path_form(pres, to_path_form(pres, w, base, end))
-        pres._reduced[key] = cached
-    return cached
+    return reduce_path_form(pres, to_path_form(pres, w, base, end))
 
 
 def is_trivial(pres: AdaptedPresentation, w: Word) -> bool:

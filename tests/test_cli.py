@@ -196,6 +196,11 @@ def test_axis_shapes(graph_file, capsys):
     assert out["kind"] == "negative_half_line"
     assert out["origin"] == {"carrier": "", "vertex": "v0"}
 
+    code, out = run(capsys, "axis", graph_file("bs12"), "te1 xv0(1) Te1", "te1")
+    assert code == 0
+    assert out["kind"] == "negative_half_line"
+    assert out["origin"] == {"carrier": "te1", "vertex": "v0"}
+
     code, out = run(capsys, "axis", graph_file("bs23"), "xv0(1)", "te1")
     assert code == 0
     assert out["kind"] == "finite"

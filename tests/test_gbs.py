@@ -27,7 +27,6 @@ from vgbs.gbs import (
     _valuation,
     bounded_reachability,
     build_reachability_instance,
-    elliptic_exponent_form,
     gbs_multi_conjugate,
     replay_witness,
 )
@@ -45,6 +44,7 @@ from vgbs.words import (
 
 from vgbs.graph import Edge, VGBSGraph, Vertex, build_presentation
 from vgbs.linalg import IntMatrix
+from vgbs.tree import translation_profile
 
 from fixtures import MERSENNE_61, a_pow, bs, presentation, t_pow
 
@@ -54,10 +54,15 @@ PRIME_1E12 = 999_999_999_989
 # --- exponent form ------------------------------------------------------
 
 
+def _exponent_form(p, g):
+    profile = translation_profile(p, g)
+    return profile.fixed.rep, profile.coords[0], invert_word(p, profile.fixed.carrier)
+
+
 def test_exponent_form_conjugated_power():
     p = presentation("bs12")
     g = conjugate(p, a_pow(1), t_pow(1))
-    vertex, exponent, mover = elliptic_exponent_form(p, g)
+    vertex, exponent, mover = _exponent_form(p, g)
     assert (vertex, exponent) == ("v0", 2)
     assert is_trivial(
         p, concat(mover, g, invert_word(p, mover), a_pow(-exponent))
@@ -67,18 +72,11 @@ def test_exponent_form_conjugated_power():
 def test_exponent_form_replay_invariant():
     p = presentation("bs23")
     for g in (a_pow(5), conjugate(p, a_pow(2), concat(a_pow(1), t_pow(1)))):
-        vertex, exponent, mover = elliptic_exponent_form(p, g)
+        vertex, exponent, mover = _exponent_form(p, g)
         target = vertex_word(vertex, (exponent,))
         assert is_trivial(
             p, concat(mover, g, invert_word(p, mover), invert_word(p, target))
         )
-
-
-def test_exponent_form_rejects_hyperbolic_and_high_rank():
-    with pytest.raises(ValueError):
-        elliptic_exponent_form(presentation("bs12"), t_pow(1))
-    with pytest.raises(ValueError):
-        elliptic_exponent_form(presentation("z2"), vertex_word("v0", (1, 0)))
 
 
 # --- instance encoding --------------------------------------------------

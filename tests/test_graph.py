@@ -13,7 +13,7 @@ from vgbs.graph import (
     graph_to_dict,
     validate_graph,
 )
-from vgbs.linalg import IntMatrix
+from vgbs.linalg import IntMatrix, column_hnf_with_transform
 
 
 def _m(rows, cols):
@@ -24,6 +24,23 @@ def _m(rows, cols):
 def test_fixtures_validate(name):
     report = validate_graph(ALL_GRAPHS[name]())
     assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
+def test_edge_data_is_integral(name):
+    # the image basis is inj_initial·U, so transport needs no fractions;
+    # it must agree with the rational transport the symbolic solvers use
+    g = ALL_GRAPHS[name]()
+    pres = build_presentation(g)
+    for e in g.edges:
+        data = pres.edge_data(e)
+        H, U = column_hnf_with_transform(e.inj_initial)
+        assert data.unimodular == U
+        assert data.image.basis == e.inj_initial.mul(U) == H
+        for j in range(H.cols):
+            x = H.column(j)
+            assert pres.transport_across(e, x) == data.transport.mul_vec(x)
+            assert data.preimage(x) == U.column(j)
 
 
 def test_validation_catches_missing_reverse():

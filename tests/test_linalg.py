@@ -5,6 +5,7 @@ box enumeration) before the implementation existed.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,22 @@ def test_lattice_membership_against_enumeration():
         coords = lat.member_coords(v)
         if coords is not None:
             assert lat.basis.mul_vec(coords) == v
+
+
+def test_lattice_split_against_reduce_and_membership():
+    rng = random.Random(909)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        lat = Lattice.from_generators(n, gens)
+        v = tuple(rng.randint(-20, 20) for _ in range(n))
+        q, r = lat.split(v)
+        assert tuple(a + b for a, b in zip(lat.basis.mul_vec(q), r)) == v
+        assert r == lat.reduce_vector(v)
+        shift = lat.basis.mul_vec(tuple(rng.randint(-5, 5) for _ in range(lat.rank)))
+        assert lat.reduce_vector(tuple(a + b for a, b in zip(v, shift))) == r
+        assert lat.member_coords(v) == (q if not any(r) else None)
+        assert lat.member_coords(shift) is not None
 
 
 def test_lattice_canonical_equality():

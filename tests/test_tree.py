@@ -1,32 +1,40 @@
-"""Tree navigation: distances, hulls, translation profiles, axis walks."""
+"""Tree navigation: normal forms, distances, translation profiles, axis walks."""
 
 import random
+from itertools import islice
+from time import perf_counter
 
 import pytest
 
-from fixtures import a_pow, presentation, random_word, t_pow
+from fixtures import ALL_GRAPHS, a_pow, presentation, random_word, t_pow
 from vgbs.tree import (
     HYPERBOLIC,
     ELLIPTIC,
     TreeVertex,
     axis_offset,
     axis_vertex,
+    axis_vertices,
     base_vertex,
-    convex_hull,
     distance,
-    is_elliptic,
     on_characteristic_space,
     stabilizer_coords,
     stabilizer_element,
-    step_reverse,
-    steps_equal,
     translate,
     translation_length,
     translation_profile,
     tree_path,
     vertices_equal,
 )
-from vgbs.words import Word, concat, conjugate, is_trivial, vertex_word, word_power
+from vgbs.words import (
+    Word,
+    concat,
+    conjugate,
+    express_in_vertex,
+    invert_word,
+    is_trivial,
+    reduced_form,
+    vertex_word,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +88,56 @@ def test_distance_is_a_metric(bs12p):
                 assert distance(bs12p, x, z) <= dxy + distance(bs12p, y, z)
 
 
+def _sample_vertices(pres, rng, n=40):
+    """(vertex, word) pairs with vertex = word·ṽ_rep: translates of random
+    words, vertices on their geodesics from the base vertex, random
+    translates of those, and the same vertices moved by one of their own
+    stabilizer elements."""
+    v0 = base_vertex(pres)
+    pairs = []
+    while len(pairs) < n:
+        g = random_word(rng, pres, rng.randint(0, 6))
+        x = translate(pres, g, v0)
+        path = tree_path(pres, v0, x)
+        y = path.vertex(rng.randint(0, path.length))
+        base, word = rng.choice(pairs + [(y, y.carrier)])
+        h = random_word(rng, pres, rng.randint(0, 4))
+        z = translate(pres, h, base)
+        vec = [rng.randint(-3, 3) for _ in range(pres.vertex_rank(z.rep))]
+        s = stabilizer_element(pres, z, vec)
+        pairs += [
+            (x, g),
+            (y, y.carrier),
+            (z, concat(h, word)),
+            (translate(pres, s, z), concat(s, h, word)),
+        ]
+    return pairs[:n]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
+def test_normal_form_matches_word_problem(name):
+    # reference: the definitions by word problem the normal forms replace
+    pres = presentation(name)
+    rng = random.Random(808)
+    pairs = _sample_vertices(pres, rng)
+    for x, word in pairs:
+        shift = concat(invert_word(pres, x.carrier), word)
+        assert express_in_vertex(pres, shift, x.rep) is not None
+    vs = [x for x, _ in pairs]
+    seen = set()
+    for x in vs:
+        for y in vs:
+            shift = concat(invert_word(pres, x.carrier), y.carrier)
+            same = x.rep == y.rep and express_in_vertex(pres, shift, x.rep) is not None
+            assert (x == y) == same
+            if same:
+                assert hash(x) == hash(y)
+            seen.add(same)
+            expected = reduced_form(pres, shift, base=x.rep, end=y.rep).length
+            assert distance(pres, x, y) == expected
+    assert seen == ({True} if name == "z2" else {True, False})
+
+
 def test_stabilizer_coords(bs12p):
     tv0 = _v(bs12p, t_pow(1))
     assert stabilizer_coords(bs12p, tv0, a_pow(2)) == (1,)
@@ -105,7 +163,7 @@ def test_amalgam_product_translates():
     ab = concat(vertex_word("v0", (1,)), vertex_word("v1", (1,)))
     prof = translation_profile(ap, ab)
     assert prof.kind == HYPERBOLIC and prof.length == 2
-    assert is_elliptic(ap, vertex_word("v1", (1,)))
+    assert translation_profile(ap, vertex_word("v1", (1,))).kind == ELLIPTIC
     fixed = translation_profile(ap, vertex_word("v1", (1,))).fixed
     assert fixed.rep == "v1"
 
@@ -128,30 +186,9 @@ def test_on_characteristic_space(bs12p):
     assert on_characteristic_space(bs12p, a_pow(1), _v(bs12p, t_pow(-1)))
     # every fundamental-domain vertex is on the axis
     fd = translation_profile(bs12p, t_pow(1)).fundamental_domain
-    for x in fd.vertices:
+    for i in range(fd.length + 1):
+        x = fd.vertex(i)
         assert on_characteristic_space(bs12p, t_pow(1), x)
-
-
-def test_convex_hull(bs12p):
-    v0 = base_vertex(bs12p)
-    tv0 = _v(bs12p, t_pow(1))
-    atv0 = _v(bs12p, concat(a_pow(1), t_pow(1)))
-    single = convex_hull(bs12p, [v0])
-    assert len(single.vertices) == 1 and len(single.edges) == 0
-    pair = convex_hull(bs12p, [v0, tv0])
-    assert len(pair.vertices) == 2 and len(pair.edges) == 1
-    tripod = convex_hull(bs12p, [v0, tv0, atv0])
-    assert len(tripod.vertices) == 3 and len(tripod.edges) == 2
-
-
-def test_step_equality_and_reversal(bs12p):
-    v0 = base_vertex(bs12p)
-    tv0 = _v(bs12p, t_pow(1))
-    s = tree_path(bs12p, v0, tv0).steps[0]
-    back = tree_path(bs12p, tv0, v0).steps[0]
-    assert steps_equal(bs12p, step_reverse(bs12p, s), back)
-    assert steps_equal(bs12p, s, back, oriented=False)
-    assert not steps_equal(bs12p, s, back, oriented=True)
 
 
 def test_axis_walk(bs12p):
@@ -165,6 +202,17 @@ def test_axis_walk(bs12p):
     assert axis_offset(bs12p, t, x, x) == 0
     with pytest.raises(ValueError, match="not on the axis"):
         axis_vertex(bs12p, t, _v(bs12p, concat(t_pow(1), a_pow(1), t_pow(1))), 1)
+
+
+def test_long_axis_walks_are_fast(bs12p):
+    v0 = base_vertex(bs12p)
+    t = t_pow(1)
+    begin = perf_counter()
+    assert axis_offset(bs12p, t, v0, _v(bs12p, t_pow(3000))) == 3000
+    walk = list(islice(axis_vertices(bs12p, t, v0, -1), 1000))
+    assert all(on_characteristic_space(bs12p, t, v) for v in walk)
+    assert walk[-1] == _v(bs12p, t_pow(-1000))
+    assert perf_counter() - begin < 1.0
 
 
 def test_f2_translation_lengths():
