@@ -4,7 +4,9 @@ Each invocation decides one query and prints a single JSON object whose
 "kind" field names the outcome.  Exit status 0 means the query was
 decided (a definite "no" is still a decision), 2 means a structured
 refusal (unsupported elliptic instance, polycyclic reduction, or an
-exhausted search budget), and 1 means the input could not be used.
+exhausted search budget), 1 means the input could not be used, and 3
+means a fault inside the library ("internal_error" with the exception's
+type and message), never a traceback.
 
 Words are written as whitespace-separated terms: a vertex term like
 "xv0(1,-2)" gives exponents at a vertex, and an edge term "te1" is the
@@ -310,6 +312,8 @@ def run_command(argv: list[str]) -> int:
         payload, code = args.handler(args)
     except (InputError, ValueError) as exc:
         payload, code = {"kind": "error", "message": str(exc)}, 1
+    except Exception as exc:
+        payload, code = {"kind": "internal_error", "message": f"{type(exc).__name__}: {exc}"}, 3
     print(json.dumps(payload))
     return code
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .equations import local_conjugators
 from .graph import AdaptedPresentation
-from .linalg import AffineLattice, AffineLatticeUnion, IntVec, Lattice
+from .linalg import AffineLattice, Lattice, intersect_affine
 from .modulus import WholeAxis, classify_intersection, shift_length
 from .tree import (
     HYPERBOLIC,
@@ -106,10 +106,6 @@ class Centralizer:
     shift_generator: Word
 
 
-def _first_point(sols: AffineLatticeUnion) -> IntVec:
-    return tuple(int(x) for x in sols.parts[0].base)
-
-
 def find_hyperbolic_in_tuple(
     pres: AdaptedPresentation, items: tuple[Word, ...]
 ) -> HyperbolicWitness | EllipticCertificate:
@@ -179,11 +175,9 @@ def conjugate_hyperbolic(pres: AdaptedPresentation, a: Word, b: Word) -> Conjuga
             continue
         mover = word_simplify(pres, concat(vj.carrier, invert_word(pres, v.carrier)))
         sols = local_conjugators(pres, vj, conjugate(pres, a, mover), b)
-        if sols.is_empty():
+        if sols is None:
             continue
-        witness = word_simplify(
-            pres, concat(stabilizer_element(pres, vj, _first_point(sols)), mover)
-        )
+        witness = word_simplify(pres, concat(stabilizer_element(pres, vj, sols.base), mover))
         assert is_trivial(
             pres, concat(witness, a, invert_word(pres, witness), invert_word(pres, b))
         )
@@ -206,10 +200,7 @@ def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
     dom = profile.fundamental_domain
     w0 = dom.start
 
-    sols = local_conjugators(pres, w0, h, h)
-    parts = sols.parts
-    assert len(parts) == 1 and all(x == 0 for x in parts[0].base)
-    lattice = parts[0].lattice
+    lattice = local_conjugators(pres, w0, h, h).lattice
 
     shift = None
     for k in range(1, profile.length + 1):
@@ -220,11 +211,9 @@ def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
         cand = local_conjugators(
             pres, w0, h, conjugate(pres, h, invert_word(pres, mover))
         )
-        if cand.is_empty():
+        if cand is None:
             continue
-        shift = word_simplify(
-            pres, concat(mover, stabilizer_element(pres, w0, _first_point(cand)))
-        )
+        shift = word_simplify(pres, concat(mover, stabilizer_element(pres, w0, cand.base)))
         break
     assert shift is not None
 
@@ -318,18 +307,18 @@ def multi_conjugate(
     power_inv = invert_word(pres, power)
 
     rank = pres.vertex_rank(cen.basepoint.rep)
-    sols = AffineLatticeUnion.single(AffineLattice((0,) * rank, cen.elliptic))
+    sols = AffineLattice((0,) * rank, cen.elliptic)
     for x, y in zip(first, matched):
         if is_trivial(pres, x):
             continue
         shifted = word_simplify(pres, concat(power, x, power_inv))
-        sols = sols.intersect(local_conjugators(pres, cen.basepoint, shifted, y))
-        if sols.is_empty():
+        local = local_conjugators(pres, cen.basepoint, shifted, y)
+        sols = None if local is None else intersect_affine(sols, local)
+        if sols is None:
             return NotConjugate("no centralizer element aligns every coordinate")
 
     witness = word_simplify(
-        pres,
-        concat(g0, stabilizer_element(pres, cen.basepoint, _first_point(sols)), power),
+        pres, concat(g0, stabilizer_element(pres, cen.basepoint, sols.base), power)
     )
     witness_inv = invert_word(pres, witness)
     for x, y in zip(first, second):

@@ -4,23 +4,23 @@ A syllable equation asks for the integer vectors k making
 a_0^{k_σ(0)} · g_1 · a_1^{k_σ(1)} · ... · g_n · a_n^{k_σ(n)} trivial,
 where the a_i are elliptic and the g_i are fixed words.  The solution
 set is always a finite union of affine sublattices of Z^p, and this
-module computes it exactly.
+module computes it exactly, in integers.
 
 The method: conjugate each base into the vertex group it fixes, so the
 equation becomes one symbolic loop at the base vertex whose terms are
-affine functions of k with rational entries.  A loop is trivial exactly
-when some backtracking pair pinches, so the solver branches over the
-backtracking positions, records the pinch condition as an affine-lattice
-membership, rewrites the loop with the pinched pair collapsed (the middle
-term crosses the edge through a rational transport map), and recurses on
-the strictly shorter loop.  Integrality of every surviving term is kept
-as an explicit side condition, which also absorbs the denominators the
-transports introduce.
+integer affine functions of k.  A loop is trivial exactly when some
+backtracking pair pinches, so the solver branches over the backtracking
+positions.  Its state is the affine lattice D of the k still allowed,
+k = D.base + D.basis·z, with every term written in the coordinates z.
+A pinch asks for the middle term to lie in the edge image: that is an
+integer preimage in z, D shrinks to its image, every term is rewritten
+in the coordinates of the smaller D, and the middle term's image
+coordinates cross the edge by the integer map of the edge.  The loop is
+then strictly shorter, and the answer of the recursion lies inside D.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,12 +29,11 @@ from .linalg import (
     AffineLattice,
     AffineLatticeUnion,
     IntMatrix,
+    IntVec,
     Lattice,
-    RatMatrix,
-    RatVec,
+    add_vec,
     affine_preimage,
-    intersect_affine,
-    rat_vec,
+    sub_vec,
 )
 from .words import Word, concat, invert_word, is_trivial, reduced_form, word_power, word_simplify
 from .tree import TreeVertex, stabilizer_element, translation_profile, ELLIPTIC
@@ -42,26 +41,25 @@ from .tree import TreeVertex, stabilizer_element, translation_profile, ELLIPTIC
 
 @dataclass(frozen=True)
 class AffineVec:
-    """Affine function k ↦ const + coeff·k into Q^dim."""
+    """Integer affine function z ↦ const + coeff·z into Z^dim."""
 
-    const: RatVec
-    coeff: RatMatrix
+    const: IntVec
+    coeff: IntMatrix
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "const", rat_vec(self.const))
         if len(self.const) != self.coeff.rows:
             raise ValueError("constant part has the wrong dimension")
 
     @classmethod
-    def constant(cls, vec: Sequence, unknowns: int) -> AffineVec:
-        return cls(tuple(vec), IntMatrix.zero(len(vec), unknowns).rational())
+    def constant(cls, vec: Sequence[int], unknowns: int) -> AffineVec:
+        return cls(tuple(vec), IntMatrix.zero(len(vec), unknowns))
 
     @classmethod
-    def single_unknown(cls, vec: Sequence, unknowns: int, index: int) -> AffineVec:
-        """k ↦ k[index] · vec."""
+    def single_unknown(cls, vec: Sequence[int], unknowns: int, index: int) -> AffineVec:
+        """z ↦ z[index] · vec."""
         cols = [[0] * len(vec) for _ in range(unknowns)]
         cols[index] = list(vec)
-        return cls((0,) * len(vec), RatMatrix.from_columns(cols, rows=len(vec)))
+        return cls((0,) * len(vec), IntMatrix.from_columns(cols, rows=len(vec)))
 
     @property
     def dim(self) -> int:
@@ -73,46 +71,37 @@ class AffineVec:
 
     def add(self, other: AffineVec) -> AffineVec:
         return AffineVec(
-            tuple(a + b for a, b in zip(self.const, other.const, strict=True)),
-            RatMatrix(
+            add_vec(self.const, other.const),
+            IntMatrix(
                 self.coeff.rows,
                 self.coeff.cols,
-                tuple(
-                    tuple(a + b for a, b in zip(r1, r2))
-                    for r1, r2 in zip(self.coeff.entries, other.coeff.entries)
-                ),
+                tuple(add_vec(r1, r2) for r1, r2 in zip(self.coeff.entries, other.coeff.entries)),
             ),
         )
 
-    def apply(self, mat: RatMatrix) -> AffineVec:
+    def apply(self, mat: IntMatrix) -> AffineVec:
+        """z ↦ mat·(const + coeff·z)."""
         return AffineVec(mat.mul_vec(self.const), mat.mul(self.coeff))
 
-    def evaluate(self, k: Sequence[int]) -> RatVec:
-        return tuple(
-            c + sum(row[i] * k[i] for i in range(len(k)))
-            for c, row in zip(self.const, self.coeff.entries)
+    def compose(self, inner: AffineVec) -> AffineVec:
+        """w ↦ self(inner(w))."""
+        return AffineVec(
+            add_vec(self.const, self.coeff.mul_vec(inner.const)), self.coeff.mul(inner.coeff)
         )
+
+    def coords(self, lattice: Lattice) -> AffineVec:
+        """The same function in the basis coordinates of a lattice that
+        holds every one of its values."""
+        cols = [lattice.member_coords(col) for col in self.coeff.columns()]
+        return AffineVec(
+            lattice.member_coords(self.const), IntMatrix.from_columns(cols, rows=lattice.rank)
+        )
+
+    def evaluate(self, z: Sequence[int]) -> IntVec:
+        return add_vec(self.const, self.coeff.mul_vec(z))
 
     def is_constant(self) -> bool:
         return all(x == 0 for row in self.coeff.entries for x in row)
-
-
-@dataclass(frozen=True)
-class ScaledVertexTerm:
-    """A symbolic vertex-group element: affine in k, possibly fractional."""
-
-    vertex: str
-    affine: AffineVec
-
-    @property
-    def denominator(self) -> int:
-        d = 1
-        for x in self.affine.const:
-            d = math.lcm(d, x.denominator)
-        for row in self.affine.coeff.entries:
-            for x in row:
-                d = math.lcm(d, x.denominator)
-        return d
 
 
 @dataclass(frozen=True)
@@ -149,8 +138,9 @@ def equation_word(pres: AdaptedPresentation, eq: SyllableEquation, k: Sequence[i
 
 def _symbolic_loop(
     pres: AdaptedPresentation, eq: SyllableEquation
-) -> tuple[list[Edge], list[ScaledVertexTerm]]:
-    """One walk at the presentation base whose terms are affine in k."""
+) -> tuple[list[Edge], list[AffineVec]]:
+    """One walk at the presentation base whose terms are affine in k; the
+    term after step i lives in the vertex group at steps[i].to."""
     p = eq.unknowns
     anchors: list[tuple[TreeVertex, AffineVec]] = []
     for i, base in enumerate(eq.bases):
@@ -162,114 +152,87 @@ def _symbolic_loop(
         )
 
     steps: list[Edge] = []
-    terms: list[ScaledVertexTerm] = [
-        ScaledVertexTerm(pres.base, AffineVec.constant((0,) * pres.vertex_rank(pres.base), p))
-    ]
+    terms: list[AffineVec] = [AffineVec.constant((0,) * pres.vertex_rank(pres.base), p)]
 
     def flush_constant(w: Word, target: str) -> None:
-        rf = reduced_form(pres, word_simplify(pres, w), base=terms[-1].vertex, end=target)
-        terms[-1] = ScaledVertexTerm(
-            terms[-1].vertex, terms[-1].affine.add(AffineVec.constant(rf.terms[0], p))
-        )
+        start = steps[-1].to if steps else pres.base
+        rf = reduced_form(pres, word_simplify(pres, w), base=start, end=target)
+        terms[-1] = terms[-1].add(AffineVec.constant(rf.terms[0], p))
         for j, e in enumerate(rf.edges):
             steps.append(e)
-            terms.append(ScaledVertexTerm(e.to, AffineVec.constant(rf.terms[j + 1], p)))
+            terms.append(AffineVec.constant(rf.terms[j + 1], p))
 
     for i, (fixed, sym) in enumerate(anchors):
         before = fixed.carrier if i == 0 else concat(eq.connectors[i - 1], fixed.carrier)
         flush_constant(before, fixed.rep)
-        terms[-1] = ScaledVertexTerm(terms[-1].vertex, terms[-1].affine.add(sym))
+        terms[-1] = terms[-1].add(sym)
         flush_constant(invert_word(pres, fixed.carrier), pres.base)
     return steps, terms
 
 
 def _prereduce_constants(
-    pres: AdaptedPresentation, steps: list[Edge], terms: list[ScaledVertexTerm]
-) -> tuple[list[Edge], list[ScaledVertexTerm]]:
+    pres: AdaptedPresentation, steps: list[Edge], terms: list[AffineVec]
+) -> tuple[list[Edge], list[AffineVec]]:
     """Collapse backtracking pairs whose middle term is constant and inside
-    the edge image; valid for every k, so it shrinks the loop for free.
-    Only called on the all-integral top-level loop."""
+    the edge image: such a pair pinches for every k, so it shrinks the
+    loop without branching."""
     out_steps: list[Edge] = []
-    out_terms: list[ScaledVertexTerm] = [terms[0]]
+    out_terms: list[AffineVec] = [terms[0]]
     for e, after in zip(steps, terms[1:]):
-        if out_steps and out_steps[-1].reverse == e.id and out_terms[-1].affine.is_constant():
-            c = tuple(int(x) for x in out_terms[-1].affine.const)
-            transported = pres.transport_across(e, c)
+        if out_steps and out_steps[-1].reverse == e.id and out_terms[-1].is_constant():
+            transported = pres.transport_across(e, out_terms[-1].const)
             if transported is not None:
                 out_steps.pop()
                 out_terms.pop()
-                merged = out_terms[-1].affine.add(
-                    AffineVec.constant(transported, after.affine.unknowns)
-                ).add(after.affine)
-                out_terms[-1] = ScaledVertexTerm(out_terms[-1].vertex, merged)
+                out_terms[-1] = (
+                    out_terms[-1].add(AffineVec.constant(transported, after.unknowns)).add(after)
+                )
                 continue
         out_steps.append(e)
         out_terms.append(after)
     return out_steps, out_terms
 
 
-def _integrality(terms: Sequence[ScaledVertexTerm], p: int) -> AffineLattice | None:
-    acc = AffineLattice.full(p)
-    for t in terms:
-        if t.denominator == 1:
-            continue
-        pre = affine_preimage(t.affine.const, t.affine.coeff, Lattice.full(t.affine.dim))
-        if pre is None:
-            return None
-        acc = intersect_affine(acc, pre)
-        if acc is None:
-            return None
-    return acc
-
-
 def _solve_loop(
     pres: AdaptedPresentation,
     steps: tuple[Edge, ...],
-    terms: tuple[ScaledVertexTerm, ...],
-    p: int,
+    domain: AffineLattice,
+    terms: tuple[AffineVec, ...],
     memo: dict,
 ) -> AffineLatticeUnion:
-    key = (tuple(e.id for e in steps), terms)
+    """The k in domain that make the loop trivial, where every term is a
+    function of the coordinates z of k = domain.base + domain.basis·z."""
+    key = (tuple(e.id for e in steps), domain, terms)
     hit = memo.get(key)
     if hit is not None:
         return hit
 
+    basis = domain.lattice.basis
+    found: list[AffineLattice] = []
     if not steps:
-        t0 = terms[0].affine
+        t0 = terms[0]
         sol = affine_preimage(t0.const, t0.coeff, Lattice.zero(t0.dim))
-        result = (
-            AffineLatticeUnion.empty(p) if sol is None else AffineLatticeUnion.single(sol)
-        )
-        memo[key] = result
-        return result
-
-    integral = _integrality(terms, p)
-    if integral is None:
-        result = AffineLatticeUnion.empty(p)
-        memo[key] = result
-        return result
-
-    result = AffineLatticeUnion.empty(p)
+        if sol is not None:
+            found.append(sol.image(domain.base, basis))
     for j in range(1, len(steps)):
         if steps[j - 1].reverse != steps[j].id:
             continue
-        middle = terms[j].affine
-        pinch = affine_preimage(middle.const, middle.coeff, pres.edge_image(steps[j]))
+        edge = pres.edge_data(steps[j])
+        pinch = affine_preimage(terms[j].const, terms[j].coeff, edge.image)
         if pinch is None:
             continue
-        constrained = intersect_affine(integral, pinch)
-        if constrained is None:
-            continue
-        transported = middle.apply(pres.edge_data(steps[j]).transport)
-        merged = terms[j - 1].affine.add(transported).add(terms[j + 1].affine)
+        child_domain = pinch.image(domain.base, basis)
+        # the coordinates z of the child domain's points, as a function of
+        # its own coordinates
+        inner = AffineVec(
+            sub_vec(child_domain.base, domain.base), child_domain.lattice.basis
+        ).coords(domain.lattice)
+        new = [t.compose(inner) for t in terms]
+        moved = new[j].coords(edge.image).apply(edge.across)
+        child_terms = (*new[: j - 1], new[j - 1].add(moved).add(new[j + 1]), *new[j + 2 :])
         child_steps = steps[: j - 1] + steps[j + 1 :]
-        child_terms = (
-            terms[: j - 1]
-            + (ScaledVertexTerm(terms[j - 1].vertex, merged),)
-            + terms[j + 2 :]
-        )
-        child = _solve_loop(pres, child_steps, child_terms, p, memo)
-        result = result.union(child.intersect_part(constrained))
+        found.extend(_solve_loop(pres, child_steps, child_domain, child_terms, memo).parts)
+    result = AffineLatticeUnion(domain.ambient_dim, tuple(found))
     memo[key] = result
     return result
 
@@ -278,20 +241,25 @@ def solve_syllable_equation(pres: AdaptedPresentation, eq: SyllableEquation) -> 
     """Exact solution set in Z^p as a finite union of affine lattices."""
     steps, terms = _symbolic_loop(pres, eq)
     steps, terms = _prereduce_constants(pres, steps, terms)
-    return _solve_loop(pres, tuple(steps), tuple(terms), eq.unknowns, {})
+    return _solve_loop(pres, tuple(steps), AffineLattice.full(eq.unknowns), tuple(terms), {})
 
 
 def local_conjugators(
     pres: AdaptedPresentation, v: TreeVertex, g: Word, h: Word
-) -> AffineLatticeUnion:
+) -> AffineLattice | None:
     """Exponent vectors x with s(x)·g·s(x)⁻¹ = h, where s(x) is the
-    stabilizer element of v with coordinates x.  With g = h this is the
-    slice of the centralizer of g through the stabilizer of v."""
+    stabilizer element of v with coordinates x, or None if there are none.
+    With g = h this is the slice of the centralizer of g through the
+    stabilizer of v.
+
+    The answer is one coset of that slice: if x₁ and x₂ both solve, then
+    s(x₁ − x₂) commutes with g.  So the parts the solver returns span it.
+    """
     rank = pres.vertex_rank(v.rep)
     if rank == 0:
         if is_trivial(pres, concat(g, invert_word(pres, h))):
-            return AffineLatticeUnion.everything(0)
-        return AffineLatticeUnion.empty(0)
+            return AffineLattice.full(0)
+        return None
     units = [
         stabilizer_element(pres, v, tuple(1 if i == j else 0 for j in range(rank)))
         for i in range(rank)
@@ -304,5 +272,10 @@ def local_conjugators(
         + (invert_word(pres, h),)
     )
     sigma = tuple(range(1, rank + 1)) * 2 + (1,)
-    eq = SyllableEquation(rank, bases, connectors, sigma)
-    return solve_syllable_equation(pres, eq)
+    parts = solve_syllable_equation(pres, SyllableEquation(rank, bases, connectors, sigma)).parts
+    if not parts:
+        return None
+    first = parts[0]
+    gens = [sub_vec(part.base, first.base) for part in parts[1:]]
+    gens += [col for part in parts for col in part.lattice.basis.columns()]
+    return AffineLattice(first.base, Lattice.from_generators(rank, gens))

@@ -247,8 +247,9 @@ class _EdgeData:
         self.image = Lattice(edge.inj_initial.rows, H)
         # carries image coordinates across: t(e)·s(H·q)·t(ē) = s(across·q)
         self.across = edge.inj_terminal.mul(self.unimodular)
-        # rational form of the same map on the image span, for the
-        # symbolic solvers
+        # rational form of the same map on the image span; only
+        # modulus.compute_modulus composes it, since a modulus can be
+        # non-integral
         self.transport = edge.inj_terminal.rational().mul(
             left_inverse(edge.inj_initial.rational())
         )

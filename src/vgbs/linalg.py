@@ -1,11 +1,12 @@
 """Exact integer and rational linear algebra.
 
 All computations use Python ints and fractions.Fraction, so nothing here
-rounds.  The main objects are lattices (subgroups of Z^n) kept in a
-canonical column Hermite basis, affine lattices (cosets) with canonical
-base points, finite unions of affine lattices, and rational-span
-utilities: reduced column echelon form, minimal polynomials, and cyclic
-invariant subspaces.
+rounds.  The lattice side is integer-only: lattices (subgroups of Z^n)
+kept in a canonical column Hermite basis, affine lattices (cosets) with
+canonical base points, their integer images and preimages, and finite
+unions of affine lattices.  The rational side serves the modulus of a
+hyperbolic element: reduced column echelon form, minimal polynomials,
+and cyclic invariant subspaces.
 """
 
 from __future__ import annotations
@@ -38,20 +39,6 @@ def zero_vec(n: int) -> IntVec:
 
 def is_zero_vec(u: Sequence) -> bool:
     return all(a == 0 for a in u)
-
-
-def rat_vec(u: Sequence) -> RatVec:
-    return tuple(Fraction(a) for a in u)
-
-
-def is_integral_vec(u: Sequence[Fraction]) -> bool:
-    return all(a.denominator == 1 for a in u)
-
-
-def int_vec(u: Sequence[Fraction]) -> IntVec:
-    if not is_integral_vec(u):
-        raise ValueError(f"vector is not integral: {u}")
-    return tuple(int(a) for a in u)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -399,14 +386,11 @@ def saturate_lattice(lat: Lattice) -> Lattice:
     return Lattice(lat.ambient_dim, integer_kernel(left_kernel))
 
 
-def image_lattice(map_matrix: RatMatrix, lat: Lattice) -> Lattice:
-    """Image of lat under a rational map that is integer-valued on it."""
+def image_lattice(map_matrix: IntMatrix, lat: Lattice) -> Lattice:
+    """Image of lat under an integer matrix."""
     if map_matrix.cols != lat.ambient_dim:
         raise ValueError("shape mismatch")
-    gens = []
-    for j in range(lat.basis.cols):
-        img = map_matrix.mul_vec(lat.basis.column(j))
-        gens.append(int_vec(img))
+    gens = [map_matrix.mul_vec(col) for col in lat.basis.columns()]
     return Lattice.from_generators(map_matrix.rows, gens)
 
 
@@ -473,6 +457,11 @@ class AffineLattice:
     def is_subset(self, other: AffineLattice) -> bool:
         return other.contains(self.base) and other.lattice.contains_lattice(self.lattice)
 
+    def image(self, const: Sequence[int], mat: IntMatrix) -> AffineLattice:
+        """The coset {const + mat·v : v in self} in the codomain of mat."""
+        base = add_vec(const, mat.mul_vec(self.base))
+        return AffineLattice(base, image_lattice(mat, self.lattice))
+
 
 def intersect_affine(a: AffineLattice, b: AffineLattice) -> AffineLattice | None:
     """Intersection of two cosets; None when they are disjoint."""
@@ -491,20 +480,15 @@ def intersect_affine(a: AffineLattice, b: AffineLattice) -> AffineLattice | None
     return AffineLattice(base, Lattice.from_generators(a.ambient_dim, gens))
 
 
-def affine_preimage(const: Sequence, coeff: RatMatrix, target: Lattice) -> AffineLattice | None:
-    """Integer vectors k with const + coeff @ k inside the target lattice.
-
-    const and coeff may be rational; the target is an integer lattice in
-    the codomain.  Returns None when no integer k works.
-    """
+def affine_preimage(
+    const: Sequence[int], coeff: IntMatrix, target: Lattice
+) -> AffineLattice | None:
+    """Integer vectors k with const + coeff @ k inside the target lattice,
+    or None when no k works."""
     if coeff.rows != target.ambient_dim or len(const) != target.ambient_dim:
         raise ValueError("codomain dimension mismatch")
-    aug = coeff.hstack(RatMatrix.from_columns([const], rows=coeff.rows))
-    d, aug_int = aug.clear_denominators()
-    coeff_int = IntMatrix.from_columns([aug_int.column(j) for j in range(coeff.cols)], rows=coeff.rows)
-    const_int = aug_int.column(coeff.cols)
-    stacked = coeff_int.hstack(target.basis.scale(-d))
-    sols = solve_linear_system_integer(stacked, neg_vec(const_int))
+    stacked = coeff.hstack(target.basis.scale(-1))
+    sols = solve_linear_system_integer(stacked, neg_vec(const))
     if sols is None:
         return None
     q = coeff.cols
@@ -540,33 +524,11 @@ class AffineLatticeUnion:
     def everything(cls, n: int) -> AffineLatticeUnion:
         return cls(n, (AffineLattice.full(n),))
 
-    @classmethod
-    def single(cls, part: AffineLattice) -> AffineLatticeUnion:
-        return cls(part.ambient_dim, (part,))
-
     def is_empty(self) -> bool:
         return not self.parts
 
     def contains(self, v: Sequence[int]) -> bool:
         return any(p.contains(v) for p in self.parts)
-
-    def union(self, other: AffineLatticeUnion) -> AffineLatticeUnion:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return AffineLatticeUnion(self.ambient_dim, self.parts + other.parts)
-
-    def intersect_part(self, a: AffineLattice) -> AffineLatticeUnion:
-        hits = [x for p in self.parts if (x := intersect_affine(p, a)) is not None]
-        return AffineLatticeUnion(self.ambient_dim, tuple(hits))
-
-    def intersect(self, other: AffineLatticeUnion) -> AffineLatticeUnion:
-        out: list[AffineLattice] = []
-        for p in self.parts:
-            for q in other.parts:
-                x = intersect_affine(p, q)
-                if x is not None:
-                    out.append(x)
-        return AffineLatticeUnion(self.ambient_dim, tuple(out))
 
 
 def rat_solve(mat: RatMatrix, rhs: Sequence) -> RatVec | None:

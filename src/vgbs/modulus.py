@@ -121,11 +121,16 @@ def compute_modulus(
 
     # x fixes the path to h^-1 basepoint iff every partial transport of x
     # lands in the corresponding edge image; the full composite is then
-    # the coordinate vector of h s(x) h^-1 back at the basepoint.
+    # the coordinate vector of h s(x) h^-1 back at the basepoint.  With d
+    # the common denominator, T·x lies in the image L iff d·T·x lies in d·L.
     transport = RatMatrix.identity(rank)
     fixators = Lattice.full(rank)
     for e in period.edges:
-        pre = affine_preimage((0,) * rank, transport, pres.edge_image(e))
+        d, scaled = transport.clear_denominators()
+        image = pres.edge_image(e)
+        pre = affine_preimage(
+            (0,) * scaled.rows, scaled, Lattice(image.ambient_dim, image.basis.scale(d))
+        )
         assert pre is not None  # homogeneous, so 0 always solves
         fixators = intersect_lattices(fixators, pre.lattice)
         transport = pres.edge_data(e).transport.mul(transport)

@@ -83,6 +83,14 @@ def z4f2() -> VGBSGraph:
     )
 
 
+def hnn(rank: int, initial, terminal) -> VGBSGraph:
+    """One rank-r vertex with one loop: t · s(initial·x) · t⁻¹ = s(terminal·x)."""
+    return VGBSGraph(
+        (Vertex("v0", rank),),
+        _loop_pair("e1", "v0", rank, _m(initial, rank), _m(terminal, rank)),
+    )
+
+
 ALL_GRAPHS = {
     "bs12": bs12,
     "bs23": bs23,

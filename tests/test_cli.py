@@ -354,6 +354,18 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and out["kind"] == "error"
 
 
+def test_internal_error_is_reported_as_json(graph_file, capsys, monkeypatch):
+    import vgbs.cli
+
+    def broken(args):
+        raise RuntimeError("handler fault")
+
+    monkeypatch.setattr(vgbs.cli, "_cmd_trivial", broken)
+    code, out = run(capsys, "trivial", graph_file("bs12"), "xv0(1)")
+    assert code == 3
+    assert out == {"kind": "internal_error", "message": "RuntimeError: handler fault"}
+
+
 def test_base_vertex_flag(graph_file, capsys):
     path = graph_file("amalg")
     code, out = run(

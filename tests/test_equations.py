@@ -6,7 +6,7 @@ Frozen answers below were computed by hand first (group identities) and
 cross-checked by the oracle.
 """
 
-from fractions import Fraction
+import random
 from itertools import product
 
 import pytest
@@ -19,11 +19,13 @@ from vgbs.equations import (
     local_conjugators,
     solve_syllable_equation,
 )
-from vgbs.linalg import AffineLatticeUnion, RatMatrix
+from vgbs.linalg import AffineLattice, IntMatrix, Lattice
 from vgbs.tree import base_vertex, stabilizer_element
 from vgbs.words import Word, concat, conjugate, invert_word, is_trivial, vertex_word
 
-from fixtures import a_pow, presentation, t_pow
+from vgbs.graph import build_presentation
+
+from fixtures import a_pow, hnn, presentation, t_pow
 
 
 def box(p: int, radius: int):
@@ -44,8 +46,8 @@ def dummy() -> Word:
 
 
 def test_affine_vec_evaluate():
-    f = AffineVec((1, Fraction(1, 2)), RatMatrix.from_rows([(2, 0), (0, 3)]))
-    assert f.evaluate((1, 1)) == (3, Fraction(7, 2))
+    f = AffineVec((1, -2), IntMatrix.from_rows([(2, 0), (0, 3)]))
+    assert f.evaluate((1, 1)) == (3, 1)
     assert not f.is_constant()
     assert AffineVec.constant((5,), 2).is_constant()
     g = AffineVec.single_unknown((1, -1), 3, 1)
@@ -56,8 +58,19 @@ def test_affine_vec_add_apply():
     f = AffineVec.single_unknown((1,), 1, 0)
     g = f.add(AffineVec.constant((4,), 1))
     assert g.evaluate((3,)) == (7,)
-    h = g.apply(RatMatrix.from_rows([(Fraction(1, 2),)]))
-    assert h.evaluate((3,)) == (Fraction(7, 2),)
+    h = g.apply(IntMatrix.from_rows([(2,), (-1,)]))
+    assert h.evaluate((3,)) == (14, -7)
+
+
+def test_affine_vec_compose_and_coords():
+    # k = 1 + 2w inside the odd integers; f(k) = (k, 3k) then reads (1 + 2w, 3 + 6w)
+    f = AffineVec((0, 0), IntMatrix.from_rows([(1,), (3,)]))
+    inner = AffineVec((1,), IntMatrix.from_rows([(2,)]))
+    g = f.compose(inner)
+    assert all(g.evaluate((w,)) == f.evaluate(inner.evaluate((w,))) for w in range(-3, 4))
+    image = Lattice.from_generators(2, [(1, 3)])
+    q = g.coords(image)
+    assert all(q.evaluate((w,)) == (1 + 2 * w,) for w in range(-3, 4))
 
 
 def test_equation_validation():
@@ -108,28 +121,28 @@ def test_bs12_commuting_conjugate_all_exponents():
     p = presentation("bs12")
     g = conjugate(p, a_pow(1), t_pow(1))
     sol = local_conjugators(p, base_vertex(p), g, a_pow(2))
-    assert sol == AffineLatticeUnion.everything(1)
+    assert sol == AffineLattice.full(1)
 
 
 def test_bs12_self_conjugation_is_rigid():
     # a^x t a^-x = t forces x = 0.
     p = presentation("bs12")
     sol = local_conjugators(p, base_vertex(p), t_pow(1), t_pow(1))
-    assert [(part.base, part.dim) for part in sol.parts] == [((0,), 0)]
+    assert sol == AffineLattice.point((0,))
 
 
 def test_bs12_shifted_conjugation():
     # a^x t a^-x = a t exactly at x = -1.
     p = presentation("bs12")
     sol = local_conjugators(p, base_vertex(p), t_pow(1), concat(a_pow(1), t_pow(1)))
-    assert [(part.base, part.dim) for part in sol.parts] == [((-1,), 0)]
+    assert sol == AffineLattice.point((-1,))
 
 
 def test_bs23_self_conjugation():
     # a^x t a^-x = t needs x in 2Z to pinch, then forces x = 0.
     p = presentation("bs23")
     sol = local_conjugators(p, base_vertex(p), t_pow(1), t_pow(1))
-    assert [(part.base, part.dim) for part in sol.parts] == [((0,), 0)]
+    assert sol == AffineLattice.point((0,))
 
 
 def test_amalgam_centralizer_slice_is_even_lattice():
@@ -139,7 +152,7 @@ def test_amalgam_centralizer_slice_is_even_lattice():
     sol = local_conjugators(p, base_vertex(p), b, b)
     assert sol.contains((0,)) and sol.contains((2,)) and sol.contains((-4,))
     assert not sol.contains((1,)) and not sol.contains((-3,))
-    assert [part.dim for part in sol.parts] == [1]
+    assert sol == AffineLattice((0,), Lattice.from_generators(1, [(2,)]))
 
 
 def test_free_group_local_conjugators_rank_zero():
@@ -147,8 +160,8 @@ def test_free_group_local_conjugators_rank_zero():
     x = t_pow(1, "e1")
     y = t_pow(1, "e2")
     sol = local_conjugators(p, base_vertex(p), x, x)
-    assert sol == AffineLatticeUnion.everything(0)
-    assert local_conjugators(p, base_vertex(p), x, y).is_empty()
+    assert sol == AffineLattice.full(0)
+    assert local_conjugators(p, base_vertex(p), x, y) is None
 
 
 # --- two unknowns -------------------------------------------------------
@@ -251,7 +264,7 @@ def test_random_local_conjugators_sound_and_complete(i, j, c):
     for x in range(-5, 6):
         s = stabilizer_element(p, v, (x,))
         expected = is_trivial(p, concat(conjugate(p, g, s), invert_word(p, h)))
-        assert sol.contains((x,)) == expected
+        assert (sol is not None and sol.contains((x,))) == expected
 
 
 def test_solution_part_bases_substitute_to_identity():
@@ -269,3 +282,99 @@ def test_solution_part_bases_substitute_to_identity():
         for col in part.lattice.basis.columns():
             shifted = tuple(b + c for b, c in zip(k0, col))
             assert is_trivial(p, equation_word(p, eq, shifted))
+
+
+# --- rank > 1 with non-unimodular edge maps -----------------------------
+#
+# Every pinch across these loops restricts the exponents to a proper
+# sublattice with a non-identity Hermite basis, so the solver runs in
+# reparametrized coordinates rather than in k itself.
+
+NON_UNIMODULAR = {
+    "rank2": lambda: hnn(2, [[2, 1], [0, 3]], [[1, 0], [1, 2]]),
+    "rank3": lambda: hnn(
+        3, [[2, 0, 1], [0, 1, 0], [0, 0, 3]], [[1, 0, 0], [0, 2, 0], [1, 0, 1]]
+    ),
+}
+
+
+def _vertex(vec) -> Word:
+    return vertex_word("v0", tuple(vec))
+
+
+def _random_vertex(rng, rank: int, bound: int = 2) -> Word:
+    return _vertex(rng.randint(-bound, bound) for _ in range(rank))
+
+
+def _unit(rank: int, i: int, c: int = 1) -> tuple[int, ...]:
+    return tuple(c if j == i else 0 for j in range(rank))
+
+
+def _non_unimodular_equations(pres, rng):
+    rank = pres.vertex_rank("v0")
+    ones = (1,) * rank
+    # a^k1 t b^k2 t^-1 a^k1: the pinch needs k2·b in the image of inj_initial
+    for b in (_unit(rank, 0, 2), _unit(rank, 0), _unit(rank, rank - 1)):
+        yield SyllableEquation(
+            2, (_vertex(ones), _vertex(b), dummy()), (t_pow(1), t_pow(-1)), (1, 2, 1)
+        )
+    pool = [Word.identity(), t_pow(1), t_pow(-1)]
+    for _ in range(12):
+        unknowns = rng.randint(1, 2)
+        n = rng.randint(2, 3)
+        bases = tuple(
+            conjugate(pres, _random_vertex(rng, rank), rng.choice(pool)) for _ in range(n)
+        )
+        connectors = []
+        for _ in range(n - 1):
+            parts = [
+                rng.choice([t_pow(1), t_pow(-1), _random_vertex(rng, rank, 1)])
+                for _ in range(rng.randint(0, 2))
+            ]
+            connectors.append(concat(*parts) if parts else Word.identity())
+        sigma = tuple(rng.randint(1, unknowns) for _ in range(n))
+        yield SyllableEquation(unknowns, bases, tuple(connectors), sigma)
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIMODULAR))
+def test_non_unimodular_equations_match_oracle(name):
+    p = build_presentation(NON_UNIMODULAR[name]())
+    rng = random.Random(17)
+    solved = 0
+    for eq in _non_unimodular_equations(p, rng):
+        sol = solve_syllable_equation(p, eq)
+        assert_matches_oracle(p, eq, sol, radius=4)
+        solved += not sol.is_empty()
+    assert solved >= 4
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIMODULAR))
+def test_non_unimodular_local_conjugators_are_one_coset(name):
+    p = build_presentation(NON_UNIMODULAR[name]())
+    rank = p.vertex_rank("v0")
+    v = base_vertex(p)
+    rng = random.Random(29)
+    cases = [(_vertex(_unit(rank, 0)), _vertex(_unit(rank, 0)))]
+    for u in (_unit(rank, 0), _unit(rank, rank - 1)):
+        # t^±1 s(u) t^∓1 with u outside the edge image: its centralizer
+        # slice is the image of the other edge map, a proper sublattice
+        for letter in (t_pow(1), t_pow(-1)):
+            g = conjugate(p, _vertex(u), letter)
+            cases.append((g, g))
+            cases.append((g, conjugate(p, g, _random_vertex(rng, rank))))
+    for _ in range(8):
+        g = concat(_random_vertex(rng, rank), t_pow(rng.choice([1, -1])), _random_vertex(rng, rank))
+        by = rng.choice([_random_vertex(rng, rank), concat(_random_vertex(rng, rank), t_pow(1))])
+        cases.append((g, conjugate(p, g, by)))
+    dims = set()
+    for g, h in cases:
+        sol = local_conjugators(p, v, g, h)
+        assert sol is None or isinstance(sol, AffineLattice)
+        for x in box(rank, 2):
+            s = stabilizer_element(p, v, x)
+            expected = is_trivial(p, concat(conjugate(p, g, s), invert_word(p, h)))
+            assert (sol is not None and sol.contains(x)) == expected, (g, h, x)
+        if sol is not None:
+            dims.add((sol.dim, sol.lattice == Lattice.full(rank)))
+    # point answers, full slices and proper full-rank sublattices all occur
+    assert {(0, False), (rank, True), (rank, False)} <= dims

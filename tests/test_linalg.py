@@ -230,29 +230,45 @@ def test_intersect_affine_disjoint():
 
 
 def test_affine_preimage_against_enumeration():
-    # {k : (1/2) + (1/2) k in Z} is the odd integers
-    got = affine_preimage(
-        (Fraction(1, 2),), RatMatrix.from_rows([[Fraction(1, 2)]]), Lattice.full(1)
-    )
+    # {k : 1 + k in 2Z} is the odd integers
+    got = affine_preimage((1,), IntMatrix.from_rows([[1]]), Lattice.from_generators(1, [(2,)]))
     assert got == AffineLattice((1,), Lattice.from_generators(1, [(2,)]))
 
-    const = (Fraction(1, 3), Fraction(0))
-    coeff = RatMatrix.from_rows([[Fraction(1, 3), 0], [1, 1]])
-    target = Lattice.from_generators(2, [(1, 0), (0, 2)])
+    # {k : (1/3 + k_0/3, k_0 + k_1) in Z x 2Z}, scaled by 3
+    const = (1, 0)
+    coeff = IntMatrix.from_rows([[1, 0], [3, 3]])
+    target = Lattice.from_generators(2, [(3, 0), (0, 6)])
     got = affine_preimage(const, coeff, target)
     for k in box(2, 7):
-        val = tuple(c + sum(row[i] * k[i] for i in range(2)) for c, row in zip(const, coeff.entries))
-        member = all(x.denominator == 1 for x in val) and target.contains(
-            tuple(int(x) for x in val)
-        )
-        assert (got is not None and got.contains(k)) == member
+        val = tuple(c + sum(r * x for r, x in zip(row, k)) for c, row in zip(const, coeff.entries))
+        assert (got is not None and got.contains(k)) == target.contains(val)
 
 
 def test_affine_preimage_empty():
-    got = affine_preimage(
-        (Fraction(1, 2),), RatMatrix.from_rows([[2]]), Lattice.full(1)
-    )
+    # {k : 1/2 + 2k in Z}, scaled by 2: 1 + 4k is never even
+    got = affine_preimage((1,), IntMatrix.from_rows([[4]]), Lattice.from_generators(1, [(2,)]))
     assert got is None
+
+
+def test_affine_image_against_enumeration():
+    # the image of a coset under an integer affine map, injective or not
+    coset = AffineLattice((1, 0), Lattice.from_generators(2, [(2, 1), (0, 3)]))
+    for const, mat in [
+        ((1, -2), IntMatrix.from_rows([[2, 1], [0, 3]])),
+        ((0, 5, 1), IntMatrix.from_rows([[1, 0], [1, 1], [0, 2]])),
+        ((4,), IntMatrix.from_rows([[1, -1]])),
+    ]:
+        got = coset.image(const, mat)
+        expected = {
+            tuple(c + sum(row[i] * v[i] for i in range(2)) for c, row in zip(const, mat.entries))
+            for v in box(2, 12)
+            if coset.contains(v)
+        }
+        for y in expected:
+            assert got.contains(y)
+        # every image point near the origin comes from a point of the box
+        for y in box(mat.rows, 4):
+            assert got.contains(y) == (y in expected)
 
 
 def test_union_canonicalization_and_queries():
@@ -263,14 +279,6 @@ def test_union_canonicalization_and_queries():
     assert u.contains((6,)) and not u.contains((3,))
     assert AffineLatticeUnion.empty(1).is_empty()
     assert AffineLatticeUnion.everything(1).contains((17,))
-
-
-def test_union_intersection():
-    evens = AffineLatticeUnion.single(AffineLattice((0,), Lattice.from_generators(1, [(2,)])))
-    mod3 = AffineLatticeUnion.single(AffineLattice((1,), Lattice.from_generators(1, [(3,)])))
-    got = evens.intersect(mod3)
-    for k in range(-20, 21):
-        assert got.contains((k,)) == (k % 2 == 0 and k % 3 == 1)
 
 
 def test_rat_solve_and_inverse():
