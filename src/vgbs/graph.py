@@ -21,7 +21,6 @@ from .linalg import (
     Lattice,
     column_hnf_with_transform,
     integer_kernel,
-    left_inverse,
 )
 
 
@@ -247,12 +246,6 @@ class _EdgeData:
         self.image = Lattice(edge.inj_initial.rows, H)
         # carries image coordinates across: t(e)·s(H·q)·t(ē) = s(across·q)
         self.across = edge.inj_terminal.mul(self.unimodular)
-        # rational form of the same map on the image span; only
-        # modulus.compute_modulus composes it, since a modulus can be
-        # non-integral
-        self.transport = edge.inj_terminal.rational().mul(
-            left_inverse(edge.inj_initial.rational())
-        )
 
     def preimage(self, x: Sequence[int]) -> IntVec | None:
         q = self.image.member_coords(x)
@@ -271,8 +264,7 @@ class AdaptedPresentation:
     Group elements are words in vertex-group syllables and stable letters,
     one letter per oriented edge, with tree-edge letters equal to the
     identity.  Instances own the caches of edge data, spanning-tree
-    routes, translation profiles and moduli, so reuse one presentation
-    per graph.
+    routes and translation profiles, so reuse one presentation per graph.
     """
 
     def __init__(
@@ -294,7 +286,6 @@ class AdaptedPresentation:
         self._edge_data: dict[str, _EdgeData] = {}
         self._routes: dict[tuple[str, str], tuple[Edge, ...]] = {}
         self._profiles: dict = {}
-        self._moduli: dict = {}
 
     def vertex_rank(self, vid: str) -> int:
         return self.graph.vertex_rank(vid)

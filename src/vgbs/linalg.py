@@ -4,9 +4,9 @@ All computations use Python ints and fractions.Fraction, so nothing here
 rounds.  The lattice side is integer-only: lattices (subgroups of Z^n)
 kept in a canonical column Hermite basis, affine lattices (cosets) with
 canonical base points, their integer images and preimages, and finite
-unions of affine lattices.  The rational side serves the modulus of a
-hyperbolic element: reduced column echelon form, minimal polynomials,
-and cyclic invariant subspaces.
+unions of affine lattices.  The rational side serves compute_modulus
+only: rational solves and inverses, reduced column echelon form,
+subspaces, and the restriction of a map to an invariant subspace.
 """
 
 from __future__ import annotations
@@ -200,19 +200,6 @@ class RatMatrix:
             raise ValueError("shape mismatch in matrix-vector product")
         return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self.entries)
 
-    def hstack(self, other: RatMatrix) -> RatMatrix:
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return RatMatrix(
-            self.rows,
-            self.cols + other.cols,
-            tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    def scale(self, c) -> RatMatrix:
-        c = Fraction(c)
-        return RatMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.entries))
-
     def clear_denominators(self) -> tuple[int, IntMatrix]:
         """Return (d, d*self) with d the least common denominator."""
         d = 1
@@ -222,13 +209,6 @@ class RatMatrix:
         scaled = tuple(tuple(int(x * d) for x in row) for row in self.entries)
         return d, IntMatrix(self.rows, self.cols, scaled)
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def integral(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix(self.rows, self.cols, tuple(tuple(int(x) for x in row) for row in self.entries))
 
 
 def column_hnf_with_transform(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -451,9 +431,6 @@ class AffineLattice:
     def contains(self, v: Sequence[int]) -> bool:
         return self.lattice.contains(sub_vec(v, self.base))
 
-    def shift(self, v: Sequence[int]) -> AffineLattice:
-        return AffineLattice(add_vec(self.base, v), self.lattice)
-
     def is_subset(self, other: AffineLattice) -> bool:
         return other.contains(self.base) and other.lattice.contains_lattice(self.lattice)
 
@@ -515,14 +492,6 @@ class AffineLatticeUnion:
         ]
         kept = sorted(set(kept), key=lambda p: (p.dim, p.base, p.lattice.basis.entries))
         object.__setattr__(self, "parts", tuple(kept))
-
-    @classmethod
-    def empty(cls, n: int) -> AffineLatticeUnion:
-        return cls(n, ())
-
-    @classmethod
-    def everything(cls, n: int) -> AffineLatticeUnion:
-        return cls(n, (AffineLattice.full(n),))
 
     def is_empty(self) -> bool:
         return not self.parts
@@ -674,95 +643,3 @@ def restriction_matrix(basis: RatMatrix, mat: RatMatrix) -> RatMatrix:
         cols.append(x)
     return RatMatrix.from_columns(cols, rows=basis.cols)
 
-
-@dataclass(frozen=True)
-class RatPolynomial:
-    """Monic polynomial over Q, coefficients from degree 0 upward."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if not coeffs or coeffs[-1] != 1:
-            raise ValueError("polynomial must be monic")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def eval_matrix(self, mat: RatMatrix) -> RatMatrix:
-        if mat.rows != mat.cols:
-            raise ValueError("polynomial evaluation needs a square matrix")
-        acc = RatMatrix.identity(mat.rows).scale(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc.mul(mat)
-            acc = RatMatrix(
-                acc.rows,
-                acc.cols,
-                tuple(
-                    tuple(x + (c if i == j else 0) for j, x in enumerate(row))
-                    for i, row in enumerate(acc.entries)
-                ),
-            )
-        return acc
-
-
-def minimal_polynomial(mat: RatMatrix) -> RatPolynomial:
-    """Minimal polynomial of a square rational matrix (1 for the 0x0 matrix)."""
-    if mat.rows != mat.cols:
-        raise ValueError("minimal polynomial needs a square matrix")
-    n = mat.rows
-    power = RatMatrix.identity(n)
-    echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    for k in range(n + 1):
-        vec = [x for row in power.entries for x in row]
-        combo = [Fraction(0)] * (n + 1)
-        combo[k] = Fraction(1)
-        for pivot, evec, ecombo in echelon:
-            f = vec[pivot]
-            if f != 0:
-                vec = [x - f * y for x, y in zip(vec, evec)]
-                combo = [x - f * y for x, y in zip(combo, ecombo)]
-        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            # combo gives the first dependency among I, M, ..., M^k
-            lead = combo[k]
-            return RatPolynomial(tuple(c / lead for c in combo[: k + 1]))
-        inv = 1 / vec[pivot]
-        echelon.append((pivot, [x * inv for x in vec], [x * inv for x in combo]))
-        power = power.mul(mat)
-    raise AssertionError("no dependency found up to the ambient dimension")
-
-
-def smallest_invariant_subspace(mat: RatMatrix, v: Sequence) -> tuple[RatSubspace, RatMatrix]:
-    """Smallest mat-invariant subspace containing v, with the restricted map.
-
-    Returns (subspace, restriction) where the restriction is written in the
-    cyclic basis v, mat v, mat^2 v, ...; for v = 0 both parts are trivial.
-    """
-    if mat.rows != mat.cols:
-        raise ValueError("invariant subspaces need a square matrix")
-    n = mat.rows
-    v = tuple(Fraction(x) for x in v)
-    basis_cols: list[RatVec] = []
-    echelon: list[tuple[int, list[Fraction]]] = []
-    cur = v
-    while True:
-        vec = list(cur)
-        for pivot, evec in echelon:
-            f = vec[pivot]
-            if f != 0:
-                vec = [x - f * y for x, y in zip(vec, evec)]
-        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            break
-        inv = 1 / vec[pivot]
-        echelon.append((pivot, [x * inv for x in vec]))
-        basis_cols.append(cur)
-        cur = mat.mul_vec(cur)
-    cyclic = RatMatrix.from_columns(basis_cols, rows=n)
-    return RatSubspace(n, cyclic), restriction_matrix(cyclic, mat)

@@ -1,38 +1,42 @@
 """Moduli of hyperbolic elements and intersections along their axes.
 
 Conjugating by a hyperbolic element h shifts its axis one period.  On the
-vertex group of an axis basepoint this induces a partial linear map: the
-composite of the edge transports along one period.  Its largest invariant
-rational subspace is the modulus domain, and the restricted map (the
-modulus) controls which elliptic elements fix long stretches of the axis.
-An eigenvalue condition on the modulus decides whether an element fixes a
-full half-line, which in turn classifies how a fixed subtree or a second
-axis meets the axis of h: not at all, in a finite segment, in a half-line,
+vertex group of an axis vertex this induces a partial linear map T: the
+composite of the integer edge transports along one period.  An elliptic
+g fixes the half-line from that vertex exactly when the orbit x, Tx,
+T²x, ... of its coordinates never leaves the domain of T.  The orbit
+spans an invariant subspace within rank periods, and it stays in the
+domain for ever exactly when the first dependent vector is an integer
+combination of the earlier ones (Cayley-Hamilton: a map that preserves
+a finitely generated free Z-module has a monic integer characteristic
+polynomial).  That classifies how a fixed subtree or a second axis
+meets the axis of h: not at all, in a finite segment, in a half-line,
 or along the whole axis.
 
 How far an elliptic element stays fixed along a path or an axis is
 decided by transporting its coordinates across the edges one at a time
 (tree.fixed_prefix), never by conjugating words along a growing carrier.
+The rational modulus of the paper (compute_modulus) is not on that path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, islice
+from itertools import islice
+from typing import Sequence
 
-from .graph import AdaptedPresentation
+from .graph import AdaptedPresentation, Edge
 from .linalg import (
+    IntVec,
     Lattice,
     RatMatrix,
     RatSubspace,
     affine_preimage,
     image_lattice,
     intersect_lattices,
-    minimal_polynomial,
-    rat_inverse,
+    left_inverse,
     restriction_matrix,
     saturate_lattice,
-    smallest_invariant_subspace,
 )
 from .tree import (
     ELLIPTIC,
@@ -46,12 +50,11 @@ from .tree import (
     fixed_prefix,
     on_characteristic_space,
     stabilizer_coords,
-    translate,
     translation_length,
     translation_profile,
     tree_path,
 )
-from .words import Word, commutator, invert_word, is_trivial
+from .words import Word, commutator, is_trivial
 
 @dataclass(frozen=True)
 class Modulus:
@@ -102,22 +105,16 @@ def compute_modulus(
     The basepoint must lie on the axis; by default the start of the
     fundamental domain is used.  For x in the domain with s(x) the
     corresponding vertex element, h s(x) h^-1 has coordinates matrix @ x.
+    This is the paper's modulus, in rational arithmetic; nothing on the
+    decision path calls it.
     """
     profile = translation_profile(pres, h)
     if profile.kind != HYPERBOLIC:
         raise ValueError("modulus is only defined for hyperbolic elements")
     if basepoint is None:
         basepoint = profile.fundamental_domain.start
-    key = (h, basepoint)
-    cached = pres._moduli.get(key)
-    if cached is not None:
-        return cached
-    if not on_characteristic_space(pres, h, basepoint):
-        raise ValueError("basepoint is not on the axis")
-
+    period = axis_period(pres, h, basepoint, -1)
     rank = pres.vertex_rank(basepoint.rep)
-    pulled = translate(pres, invert_word(pres, h), basepoint)
-    period = tree_path(pres, basepoint, pulled)
 
     # x fixes the path to h^-1 basepoint iff every partial transport of x
     # lands in the corresponding edge image; the full composite is then
@@ -133,7 +130,8 @@ def compute_modulus(
         )
         assert pre is not None  # homogeneous, so 0 always solves
         fixators = intersect_lattices(fixators, pre.lattice)
-        transport = pres.edge_data(e).transport.mul(transport)
+        crossing = e.inj_terminal.rational().mul(left_inverse(e.inj_initial.rational()))
+        transport = crossing.mul(transport)
 
     span = saturate_lattice(fixators)
     while True:
@@ -145,9 +143,34 @@ def compute_modulus(
         span = refined
 
     domain = span.span()
-    result = Modulus(basepoint, domain, restriction_matrix(domain.basis, transport))
-    pres._moduli[key] = result
-    return result
+    return Modulus(basepoint, domain, restriction_matrix(domain.basis, transport))
+
+
+def _ray(pres: AdaptedPresentation, period_edges: Sequence[Edge], coords: IntVec) -> int | None:
+    """How many edges of the ray that repeats period_edges an elliptic
+    element fixes, given its coordinates at the start; None for all.
+
+    Each period maps the coordinates by the same partial integer map T.
+    While the orbit x, Tx, T²x, ... grows in rank it is walked period by
+    period.  The first vector in the rational span of the earlier ones
+    decides: if it is an integer combination of them, so is every later
+    one, and the ray is fixed for ever.  If not, the minimal polynomial of
+    T on that span is not integral, so no finitely generated module holds
+    the orbit and the walk must fail; it is followed until it does.
+    """
+    orbit: Lattice | None = Lattice.zero(len(coords))
+    fixed = 0
+    while True:
+        if orbit is not None:
+            if orbit.contains(coords):
+                return None
+            grown = Lattice.from_generators(len(coords), orbit.basis.columns() + [coords])
+            orbit = grown if grown.rank > orbit.rank else None
+        for e in period_edges:
+            coords = pres.transport_across(e, coords)
+            if coords is None:
+                return fixed
+            fixed += 1
 
 
 def halfline_fixation(
@@ -160,36 +183,22 @@ def halfline_fixation(
     """Does the elliptic g fix the full half-line of the h axis from the
     basepoint in the given direction (+1 with h, -1 against)?
 
-    The coordinate vectors of the successive conjugates of g are the
-    modulus-power images of its coordinates, so g fixes the half-line iff
-    those powers generate a finitely generated integral module.  That
-    holds iff the modulus restricted to the cyclic subspace of g has an
-    integer minimal polynomial (inverted for the positive direction), and
-    finitely many explicit fixation checks then certify the whole ray.
-    Those checks decide fixation along the axis by transporting the
-    coordinates of g across its edges (tree.fixed_prefix).
+    The basepoint must lie on the axis; by default the start of the
+    fundamental domain is used.  The coordinates of g are carried along
+    the half-line one period at a time by integer edge transports (_ray):
+    an integer dependence among them certifies the whole half-line, and a
+    step outside an edge image refutes it.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    mod = compute_modulus(pres, h, basepoint)
-    coords = stabilizer_coords(pres, mod.basepoint, g)
-    if coords is None:
-        return False
-    in_domain = mod.domain.coords(coords)
-    if in_domain is None:
-        return False
-    cyclic, restricted = smallest_invariant_subspace(mod.matrix, in_domain)
-    if direction == 1:
-        try:
-            restricted = rat_inverse(restricted)
-        except ValueError:
-            return False
-    if not minimal_polynomial(restricted).is_integral():
-        return False
-    period = axis_period(pres, h, mod.basepoint, direction)
-    checks = period.length * cyclic.dim
-    walk = islice(cycle(period.edges), checks)
-    return fixed_prefix(pres, walk, coords) == checks
+    profile = translation_profile(pres, h)
+    if profile.kind != HYPERBOLIC:
+        raise ValueError("half-lines lie on the axis of a hyperbolic element")
+    if basepoint is None:
+        basepoint = profile.fundamental_domain.start
+    period = axis_period(pres, h, basepoint, direction)
+    coords = stabilizer_coords(pres, basepoint, g)
+    return coords is not None and _ray(pres, period.edges, coords) is None
 
 
 def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> IntersectionShape:
@@ -227,16 +236,8 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
 
     if elliptic:
         coords = stabilizer_coords(pres, meet, g)
-        return _shape(
-            pres,
-            h,
-            meet,
-            halfline_fixation(pres, h, g, 1, meet),
-            halfline_fixation(pres, h, g, -1, meet),
-            lambda d: fixed_prefix(
-                pres, cycle(axis_period(pres, h, meet, d).edges), coords
-            ),
-        )
+        rays = {d: _ray(pres, axis_period(pres, h, meet, d).edges, coords) for d in (1, -1)}
+        return _shape(pres, h, meet, rays[1] is None, rays[-1] is None, rays.__getitem__)
 
     cap = translation_length(pres, g) + translation_length(pres, h) + 1
     walks = {d: axis_vertices(pres, h, meet, d) for d in (1, -1)}

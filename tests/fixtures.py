@@ -91,6 +91,15 @@ def hnn(rank: int, initial, terminal) -> VGBSGraph:
     )
 
 
+# HNN loops whose edge maps are not unimodular, at ranks 2 and 3
+NON_UNIMODULAR = {
+    "rank2": lambda: hnn(2, [[2, 1], [0, 3]], [[1, 0], [1, 2]]),
+    "rank3": lambda: hnn(
+        3, [[2, 0, 1], [0, 1, 0], [0, 0, 3]], [[1, 0, 0], [0, 2, 0], [1, 0, 1]]
+    ),
+}
+
+
 ALL_GRAPHS = {
     "bs12": bs12,
     "bs23": bs23,

@@ -25,7 +25,7 @@ from vgbs.words import Word, concat, conjugate, invert_word, is_trivial, vertex_
 
 from vgbs.graph import build_presentation
 
-from fixtures import a_pow, hnn, presentation, t_pow
+from fixtures import NON_UNIMODULAR, a_pow, presentation, t_pow
 
 
 def box(p: int, radius: int):
@@ -288,14 +288,8 @@ def test_solution_part_bases_substitute_to_identity():
 #
 # Every pinch across these loops restricts the exponents to a proper
 # sublattice with a non-identity Hermite basis, so the solver runs in
-# reparametrized coordinates rather than in k itself.
-
-NON_UNIMODULAR = {
-    "rank2": lambda: hnn(2, [[2, 1], [0, 3]], [[1, 0], [1, 2]]),
-    "rank3": lambda: hnn(
-        3, [[2, 0, 1], [0, 1, 0], [0, 0, 3]], [[1, 0, 0], [0, 2, 0], [1, 0, 1]]
-    ),
-}
+# reparametrized coordinates rather than in k itself (the graphs are
+# fixtures.NON_UNIMODULAR).
 
 
 def _vertex(vec) -> Word:

@@ -13,7 +13,7 @@ from vgbs.graph import (
     graph_to_dict,
     validate_graph,
 )
-from vgbs.linalg import IntMatrix, column_hnf_with_transform
+from vgbs.linalg import IntMatrix, column_hnf_with_transform, left_inverse
 
 
 def _m(rows, cols):
@@ -29,17 +29,18 @@ def test_fixtures_validate(name):
 @pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
 def test_edge_data_is_integral(name):
     # the image basis is inj_initial·U, so transport needs no fractions;
-    # it must agree with the rational transport the symbolic solvers use
+    # it must agree with the rational map inj_terminal·(inj_initial)⁺
     g = ALL_GRAPHS[name]()
     pres = build_presentation(g)
     for e in g.edges:
         data = pres.edge_data(e)
         H, U = column_hnf_with_transform(e.inj_initial)
+        rational = e.inj_terminal.rational().mul(left_inverse(e.inj_initial.rational()))
         assert data.unimodular == U
         assert data.image.basis == e.inj_initial.mul(U) == H
         for j in range(H.cols):
             x = H.column(j)
-            assert pres.transport_across(e, x) == data.transport.mul_vec(x)
+            assert pres.transport_across(e, x) == rational.mul_vec(x)
             assert data.preimage(x) == U.column(j)
 
 

@@ -17,7 +17,6 @@ from vgbs.linalg import (
     IntMatrix,
     Lattice,
     RatMatrix,
-    RatPolynomial,
     RatSubspace,
     affine_preimage,
     column_hnf_with_transform,
@@ -25,13 +24,11 @@ from vgbs.linalg import (
     intersect_affine,
     intersect_lattices,
     left_inverse,
-    minimal_polynomial,
     rat_inverse,
     rat_solve,
     rcef,
     restriction_matrix,
     saturate_lattice,
-    smallest_invariant_subspace,
     solve_linear_system_integer,
     xgcd,
 )
@@ -277,8 +274,6 @@ def test_union_canonicalization_and_queries():
     u = AffineLatticeUnion(1, (inner, outer, outer))
     assert u.parts == (outer,)
     assert u.contains((6,)) and not u.contains((3,))
-    assert AffineLatticeUnion.empty(1).is_empty()
-    assert AffineLatticeUnion.everything(1).contains((17,))
 
 
 def test_rat_solve_and_inverse():
@@ -317,48 +312,6 @@ def test_subspace_coords():
     assert RatSubspace.full(2).coords((5, -1)) == (Fraction(5), Fraction(-1))
 
 
-def test_minimal_polynomial_frozen_cases():
-    fib = RatMatrix.from_rows([[0, 1], [1, 1]])
-    assert minimal_polynomial(fib).coeffs == (Fraction(-1), Fraction(-1), Fraction(1))
-    ident = RatMatrix.identity(3)
-    assert minimal_polynomial(ident).coeffs == (Fraction(-1), Fraction(1))
-    nil = RatMatrix.from_rows([[0, 1], [0, 0]])
-    assert minimal_polynomial(nil).coeffs == (Fraction(0), Fraction(0), Fraction(1))
-    empty = RatMatrix.from_rows([], cols=0)
-    assert minimal_polynomial(empty).coeffs == (Fraction(1),)
-    half = RatMatrix.from_rows([[Fraction(1, 2)]])
-    poly = minimal_polynomial(half)
-    assert poly.coeffs == (Fraction(-1, 2), Fraction(1))
-    assert not poly.is_integral()
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=3, max_size=3))
-def test_minimal_polynomial_annihilates(rows):
-    m = RatMatrix.from_rows(rows)
-    poly = minimal_polynomial(m)
-    assert poly.degree <= 3
-    zero = poly.eval_matrix(m)
-    assert all(x == 0 for row in zero.entries for x in row)
-
-
-def test_smallest_invariant_subspace():
-    rot = RatMatrix.from_rows([[0, -1], [1, 0]])
-    sub, res = smallest_invariant_subspace(rot, (1, 0))
-    assert sub.dim == 2
-    assert minimal_polynomial(res).coeffs == (Fraction(1), Fraction(0), Fraction(1))
-
-    diag = RatMatrix.from_rows([[2, 0], [0, 3]])
-    sub1, res1 = smallest_invariant_subspace(diag, (1, 0))
-    assert sub1.dim == 1 and res1.entries == ((Fraction(2),),)
-    sub2, _ = smallest_invariant_subspace(diag, (1, 1))
-    assert sub2.dim == 2
-
-    sub0, res0 = smallest_invariant_subspace(diag, (0, 0))
-    assert sub0.dim == 0 and res0.rows == 0 and res0.cols == 0
-    assert minimal_polynomial(res0).coeffs == (Fraction(1),)
-
-
 def test_restriction_matrix_checks_invariance():
     basis = RatMatrix.from_columns([(1, 0)])
     shear = RatMatrix.from_rows([[1, 1], [0, 1]])
@@ -367,9 +320,3 @@ def test_restriction_matrix_checks_invariance():
     with pytest.raises(ValueError):
         restriction_matrix(basis, tilt)
 
-
-def test_polynomial_validation():
-    with pytest.raises(ValueError):
-        RatPolynomial((Fraction(2),))
-    p = RatPolynomial((Fraction(-2), Fraction(1)))
-    assert p.degree == 1 and p.is_integral()

@@ -5,10 +5,16 @@ relations (t a t^-1 = a^2 in bs12, t a^2 t^-1 = a^3 in bs23,
 t a t^-1 = a^-1 in klein) before being frozen here.
 """
 
+import json
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from vgbs.cli import run_command
+from vgbs.conjugacy import centralizer_hyperbolic, multi_conjugate
+from vgbs.graph import build_presentation, graph_to_dict
 from vgbs.modulus import (
     Empty,
     Finite,
@@ -29,9 +35,25 @@ from vgbs.tree import (
     translate,
     vertices_equal,
 )
-from vgbs.words import concat, conjugate, express_in_vertex, invert_word, word_power
+from vgbs.words import (
+    concat,
+    conjugate,
+    express_in_vertex,
+    invert_word,
+    vertex_word,
+    word_power,
+    word_simplify,
+)
 
-from fixtures import a_pow, presentation, t_pow
+from fixtures import (
+    ALL_GRAPHS,
+    NON_UNIMODULAR,
+    a_pow,
+    hnn,
+    presentation,
+    random_word,
+    t_pow,
+)
 
 
 def mat1(x) -> RatMatrix:
@@ -236,6 +258,96 @@ def test_classify_long_segment():
         assert _fixed_at(p, g, t_pow(1), k)
     for k in (-7, 7):
         assert not _fixed_at(p, g, t_pow(1), k)
+
+
+# Loops of rank 2 and 3 whose half-lines need more than one period to
+# settle: diag2 fixes one axis direction per coordinate, tri3 fixes the
+# middle coordinate along the whole axis.
+HALFLINE_GRAPHS = {
+    **NON_UNIMODULAR,
+    "diag2": lambda: hnn(2, [[2, 0], [0, 1]], [[1, 0], [0, 2]]),
+    "tri3": lambda: hnn(
+        3, [[2, 0, 1], [0, 1, 0], [0, 0, 3]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    ),
+}
+
+
+def _offset(p, h, x) -> int:
+    return axis_offset(p, h, base_vertex(p), x)
+
+
+def test_classify_halflines_at_rank_two_and_three():
+    # Each shape of xv0(c) against t and t^-1 is checked by word-based
+    # probes: a finite end is fixed and the next vertex is not, and an
+    # infinite direction stays fixed for rank + 1 periods past its origin.
+    kinds = set()
+    for name, build in sorted(HALFLINE_GRAPHS.items()):
+        p = build_presentation(build())
+        rank = p.vertex_rank("v0")
+        box = range(-2, 3) if rank == 2 else range(-1, 2)
+        for c in product(box, repeat=rank):
+            if not any(c):
+                continue
+            g = vertex_word("v0", c)
+            for h in (t_pow(1), t_pow(-1)):
+                shape = classify_intersection(p, g, h)
+                kinds.add(type(shape))
+                if isinstance(shape, Finite):
+                    ends = [_offset(p, h, shape.segment.start), _offset(p, h, shape.segment.end)]
+                    assert ends[0] <= 0 <= ends[1], (name, c)
+                    assert shape.segment.length == ends[1] - ends[0]
+                elif isinstance(shape, PositiveHalfLine):
+                    ends = [_offset(p, h, shape.origin), None]
+                elif isinstance(shape, NegativeHalfLine):
+                    ends = [None, _offset(p, h, shape.origin)]
+                else:
+                    assert isinstance(shape, WholeAxis), (name, c, shape)
+                    ends = [None, None]
+                origin = next((end for end in ends if end is not None), 0)
+                for end, step in zip(ends, (-1, 1)):
+                    if end is None:
+                        stays = (_fixed_at(p, g, h, origin + step * k) for k in range(rank + 2))
+                        assert all(stays), (name, c, h)
+                    else:
+                        assert _fixed_at(p, g, h, end), (name, c, h)
+                        assert not _fixed_at(p, g, h, end + step), (name, c, h)
+    assert kinds == {Finite, PositiveHalfLine, NegativeHalfLine, WholeAxis}
+
+
+def test_deciding_builds_no_fraction(monkeypatch, tmp_path, capsys):
+    # Only compute_modulus works over the rationals: building
+    # presentations, tuple conjugacy, axis shapes, centralizers and the
+    # CLI construct no Fraction at all.
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    graphs = {name: ALL_GRAPHS[name] for name in ("bs12", "bs23", "klein", "z4f2")}
+    graphs["hnn2"] = NON_UNIMODULAR["rank2"]
+    rng = random.Random(47)
+    for name, build in graphs.items():
+        p = build_presentation(build())
+        rank = p.vertex_rank("v0")
+        unit = vertex_word("v0", (1,) + (0,) * (rank - 1))
+        for _ in range(4):
+            first = (t_pow(1), conjugate(p, unit, t_pow(rng.randint(-1, 1))))
+            mover = random_word(rng, p, rng.randint(0, 6))
+            second = tuple(word_simplify(p, conjugate(p, x, mover)) for x in first)
+            multi_conjugate(p, first, second)
+    p = build_presentation(NON_UNIMODULAR["rank2"]())
+    elliptic = vertex_word("v0", (2, 1))
+    classify_intersection(p, elliptic, t_pow(1))
+    classify_intersection(p, conjugate(p, t_pow(1), concat(elliptic, t_pow(1))), t_pow(1))
+    centralizer_hyperbolic(p, t_pow(1))
+    graph_file = tmp_path / "bs12.json"
+    graph_file.write_text(json.dumps(graph_to_dict(ALL_GRAPHS["bs12"]())))
+    assert run_command(["axis", str(graph_file), "xv0(1)", "te1"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "negative_half_line"
+    assert built == []
 
 
 # --- offsets between shapes ---------------------------------------------
