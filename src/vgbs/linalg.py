@@ -596,14 +596,6 @@ class RatSubspace:
             raise ValueError("basis does not live in the ambient space")
         object.__setattr__(self, "basis", rcef(self.basis))
 
-    @classmethod
-    def full(cls, n: int) -> RatSubspace:
-        return cls(n, RatMatrix.identity(n))
-
-    @classmethod
-    def zero(cls, n: int) -> RatSubspace:
-        return cls(n, RatMatrix.from_columns([], rows=n))
-
     @property
     def dim(self) -> int:
         return self.basis.cols
@@ -624,9 +616,6 @@ class RatSubspace:
         if self.basis.mul_vec(x) != v:
             return None
         return x
-
-    def contains(self, v: Sequence) -> bool:
-        return self.coords(v) is not None
 
 
 def restriction_matrix(basis: RatMatrix, mat: RatMatrix) -> RatMatrix:

@@ -13,16 +13,19 @@ polynomial).  That classifies how a fixed subtree or a second axis
 meets the axis of h: not at all, in a finite segment, in a half-line,
 or along the whole axis.
 
-How far an elliptic element stays fixed along a path or an axis is
-decided by transporting its coordinates across the edges one at a time
-(tree.fixed_prefix), never by conjugating words along a growing carrier.
-The rational modulus of the paper (compute_modulus) is not on that path.
+Where two characteristic spaces meet is read off distances, not walked:
+d(x, Char g) = (d(x, g·x) − ℓ(g)) / 2 (tree.char_distance) places both
+ends of the bridge between them with one translate each.  Past the end
+E of an overlap with the h axis, a vertex v on that axis has
+d(v, Char g) = d(v, E), so one probe at offset k from a common vertex
+finds the end at k − char_distance(g, v); a probe still on the g axis
+doubles k.  The rational modulus of the paper (compute_modulus) is not
+on the decision path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 from .graph import AdaptedPresentation, Edge
@@ -46,9 +49,7 @@ from .tree import (
     axis_offset,
     axis_period,
     axis_vertex,
-    axis_vertices,
-    fixed_prefix,
-    on_characteristic_space,
+    char_distance,
     stabilizer_coords,
     translation_length,
     translation_profile,
@@ -217,19 +218,13 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
     elliptic = g_profile.kind == ELLIPTIC
     witness_h = h_profile.fundamental_domain.start
 
-    # Both characteristic spaces are convex, so along the connecting path
-    # membership in the first is a prefix and in the second a suffix.
-    if elliptic:
-        path = tree_path(pres, g_profile.fixed, witness_h)
-        a = fixed_prefix(pres, path.edges, g_profile.coords)
-    else:
-        path = tree_path(pres, g_profile.fundamental_domain.start, witness_h)
-        a = 0
-        while a < path.length and on_characteristic_space(pres, g, path.vertex(a + 1)):
-            a += 1
-    b = path.length
-    while b > 0 and on_characteristic_space(pres, h, path.vertex(b - 1)):
-        b -= 1
+    # The geodesic from a vertex of Char g to one on the h axis leaves
+    # Char g at the projection of its end and meets the h axis at the
+    # projection of its start.
+    start = g_profile.fixed if elliptic else g_profile.fundamental_domain.start
+    path = tree_path(pres, start, witness_h)
+    a = path.length - char_distance(pres, g, witness_h)
+    b = char_distance(pres, h, start)
     if a < b:
         return Empty(bridge=path.subpath(a, b))
     meet = path.vertex(b)
@@ -240,21 +235,13 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
         return _shape(pres, h, meet, rays[1] is None, rays[-1] is None, rays.__getitem__)
 
     cap = translation_length(pres, g) + translation_length(pres, h) + 1
-    walks = {d: axis_vertices(pres, h, meet, d) for d in (1, -1)}
 
-    def extent(d: int, limit: int | None = None) -> int:
-        # how far the walk in direction d advances, from where it stands,
-        # while it stays on the g axis
-        m = 0
-        for v in islice(walks[d], limit):
-            if not on_characteristic_space(pres, g, v):
-                break
-            m += 1
-        return m
+    def probe(d: int, k: int) -> int:
+        return char_distance(pres, g, axis_vertex(pres, h, meet, d * k))
 
-    counts = {d: extent(d, cap) for d in (1, -1)}
+    off_cap = {d: probe(d, cap) for d in (1, -1)}
     positive = negative = False
-    if cap in counts.values():
+    if 0 in off_cap.values():
         # The overlap exceeds the sum of the translation lengths, so the
         # commutator is elliptic and its fixed subtree meets the h axis
         # with the same kind of shape: it tells which ends are infinite.
@@ -265,15 +252,17 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
         inner = classify_intersection(pres, comm, h)
         positive = isinstance(inner, (WholeAxis, PositiveHalfLine))
         negative = isinstance(inner, (WholeAxis, NegativeHalfLine))
-    # A walk stopped by the cap in a finite direction goes on from there.
-    return _shape(
-        pres,
-        h,
-        meet,
-        positive,
-        negative,
-        lambda d: counts[d] + extent(d) if counts[d] == cap else counts[d],
-    )
+
+    def extent(d: int) -> int:
+        # Past the end E of the overlap an h-axis vertex is d(v, E) from
+        # the g axis, so a probe off it places E; double k until one is.
+        k, off = cap, off_cap[d]
+        while off == 0:
+            k *= 2
+            off = probe(d, k)
+        return k - off
+
+    return _shape(pres, h, meet, positive, negative, extent)
 
 
 def _shape(pres, h, meet, positive: bool, negative: bool, extent) -> IntersectionShape:

@@ -9,12 +9,20 @@ applies, and how far an elliptic element stays fixed along a walk
 follows edge transports of its stabilizer coordinates (fixed_prefix);
 stabilizer questions (stabilizer_coords) are the ones left to the word
 problem.
+
+Projections onto a characteristic space (the fixed subtree or the axis
+of w) come from one translate: the group acts without inversions, so
+d(x, w·x) = ℓ(w) + 2·d(x, Char w), and the geodesic [x, w·x] passes
+through the projection p of x, then through w·p (Serre, *Trees*, §I.6).
+char_distance reads d(x, Char w) off that identity, and
+translation_profile finds ℓ(w) and its witness at the midpoint of
+[x0, w·x0], which always lies on Char w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .graph import AdaptedPresentation, Edge
 from .linalg import IntVec, add_vec, zero_vec
@@ -157,10 +165,6 @@ def translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> TreeVertex:
     return TreeVertex(tuple(out), x.rep)
 
 
-def vertices_equal(pres: AdaptedPresentation, x: TreeVertex, y: TreeVertex) -> bool:
-    return x == y
-
-
 def stabilizer_coords(pres: AdaptedPresentation, x: TreeVertex, w: Word) -> IntVec | None:
     """Coordinates of w in the stabilizer of x, or None if w does not fix x."""
     moved = concat(invert_word(pres, x.carrier), w, x.carrier)
@@ -188,31 +192,26 @@ def distance(pres: AdaptedPresentation, x: TreeVertex, y: TreeVertex) -> int:
 
 
 def translation_profile(pres: AdaptedPresentation, w: Word) -> TranslationProfile:
-    """Translation length with witness, by scanning the path from the base
-    vertex to its image: the displacement function attains its minimum
-    there, and for elliptic w some vertex on it is fixed."""
+    """Translation length with witness.  The midpoint of [x0, w·x0] lies
+    on Char w, so one more translate gives ℓ(w): for elliptic w the
+    midpoint is the projection of x0 onto the fixed subtree, and for
+    hyperbolic w a fundamental domain runs from that projection, at
+    distance (d(x0, w·x0) − ℓ(w)) / 2 from x0, to its image."""
     cached = pres._profiles.get(w)
     if cached is not None:
         return cached
     ws = word_simplify(pres, w)
     x0 = base_vertex(pres)
     first = tree_path(pres, x0, translate(pres, ws, x0))
-    profile: TranslationProfile | None = None
-    if first.length == 0:
-        profile = TranslationProfile(0, ELLIPTIC, x0, None, stabilizer_coords(pres, x0, ws))
+    mid = first.vertex(first.length // 2)
+    length = distance(pres, mid, translate(pres, ws, mid)) if first.length else 0
+    if length == 0:
+        profile = TranslationProfile(0, ELLIPTIC, mid, None, stabilizer_coords(pres, mid, ws))
     else:
-        best: tuple[int, TreePath] | None = None
-        for i in range(first.length + 1):
-            x = first.vertex(i)
-            px = tree_path(pres, x, translate(pres, ws, x))
-            if px.length == 0:
-                profile = TranslationProfile(0, ELLIPTIC, x, None, stabilizer_coords(pres, x, ws))
-                break
-            if best is None or px.length < best[0]:
-                best = (px.length, px)
-        if profile is None:
-            assert best is not None
-            profile = TranslationProfile(best[0], HYPERBOLIC, None, best[1], None)
+        offset = (first.length - length) // 2
+        profile = TranslationProfile(
+            length, HYPERBOLIC, None, first.subpath(offset, offset + length), None
+        )
     pres._profiles[w] = profile
     return profile
 
@@ -221,10 +220,11 @@ def translation_length(pres: AdaptedPresentation, w: Word) -> int:
     return translation_profile(pres, w).length
 
 
-def on_characteristic_space(pres: AdaptedPresentation, w: Word, x: TreeVertex) -> bool:
-    """x is in the fixed set (elliptic w) or on the axis (hyperbolic w)."""
-    profile = translation_profile(pres, w)
-    return distance(pres, x, translate(pres, w, x)) == profile.length
+def char_distance(pres: AdaptedPresentation, w: Word, x: TreeVertex) -> int:
+    """Distance from x to the characteristic space of w (its fixed subtree
+    when elliptic, its axis when hyperbolic), by the displacement
+    identity d(x, w·x) = ℓ(w) + 2·d(x, Char w)."""
+    return (distance(pres, x, translate(pres, w, x)) - translation_length(pres, w)) // 2
 
 
 def axis_period(
@@ -247,19 +247,6 @@ def axis_vertex(pres: AdaptedPresentation, h: Word, origin: TreeVertex, k: int) 
     span = axis_period(pres, h, origin, 1)
     n, r = divmod(k, span.length)
     return translate(pres, word_power(pres, h, n), span.vertex(r))
-
-
-def axis_vertices(
-    pres: AdaptedPresentation, h: Word, origin: TreeVertex, direction: int
-) -> Iterator[TreeVertex]:
-    """The vertices after origin along the axis of h in the given
-    direction, without end.  origin must lie on the axis."""
-    period = axis_period(pres, h, origin, direction)
-    step = word_power(pres, h, direction)
-    vertices = [period.vertex(i) for i in range(1, period.length + 1)]
-    while True:
-        yield from vertices
-        vertices = [translate(pres, step, v) for v in vertices]
 
 
 def fixed_prefix(pres: AdaptedPresentation, edges: Iterable[Edge], coords: IntVec) -> int:

@@ -9,6 +9,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from time import perf_counter
 
 import pytest
 
@@ -31,9 +32,9 @@ from vgbs.tree import (
     axis_offset,
     axis_vertex,
     base_vertex,
+    distance,
     stabilizer_coords,
     translate,
-    vertices_equal,
 )
 from vgbs.words import (
     concat,
@@ -152,10 +153,10 @@ def test_classify_elliptic_halfline():
     p = presentation("bs12")
     shape = classify_intersection(p, a_pow(1), t_pow(1))
     assert isinstance(shape, NegativeHalfLine)
-    assert vertices_equal(p, shape.origin, base_vertex(p))
+    assert shape.origin == base_vertex(p)
     flipped = classify_intersection(p, a_pow(1), t_pow(-1))
     assert isinstance(flipped, PositiveHalfLine)
-    assert vertices_equal(p, flipped.origin, base_vertex(p))
+    assert flipped.origin == base_vertex(p)
 
 
 def test_classify_elliptic_single_vertex():
@@ -163,7 +164,7 @@ def test_classify_elliptic_single_vertex():
     shape = classify_intersection(p, a_pow(1), t_pow(1))
     assert isinstance(shape, Finite)
     assert shape.segment.length == 0
-    assert vertices_equal(p, shape.segment.start, base_vertex(p))
+    assert shape.segment.start == base_vertex(p)
 
 
 def test_classify_elliptic_whole_axis():
@@ -178,8 +179,8 @@ def test_classify_empty_with_bridge():
     shape = classify_intersection(p, g, t_pow(1))
     assert isinstance(shape, Empty)
     assert shape.bridge.length == 1
-    assert vertices_equal(p, shape.bridge.start, translate(p, mover, base_vertex(p)))
-    assert vertices_equal(p, shape.bridge.end, base_vertex(p))
+    assert shape.bridge.start == translate(p, mover, base_vertex(p))
+    assert shape.bridge.end == base_vertex(p)
 
 
 def test_classify_hyperbolic_same_axis():
@@ -194,7 +195,7 @@ def test_classify_hyperbolic_single_vertex():
     shape = classify_intersection(p, g, t_pow(1))
     assert isinstance(shape, Finite)
     assert shape.segment.length == 0
-    assert vertices_equal(p, shape.segment.start, base_vertex(p))
+    assert shape.segment.start == base_vertex(p)
 
 
 def test_classify_hyperbolic_shared_ray():
@@ -204,7 +205,7 @@ def test_classify_hyperbolic_shared_ray():
     g = conjugate(p, t_pow(1), c)
     shape = classify_intersection(p, g, t_pow(1))
     assert isinstance(shape, NegativeHalfLine)
-    assert vertices_equal(p, shape.origin, translate(p, t_pow(-5), base_vertex(p)))
+    assert shape.origin == translate(p, t_pow(-5), base_vertex(p))
 
 
 def test_classify_hyperbolic_commuting_conjugates():
@@ -239,9 +240,28 @@ def test_classify_long_halfline(n):
     g = a_pow(2**n)
     shape = classify_intersection(p, g, t_pow(1))
     assert isinstance(shape, NegativeHalfLine)
-    assert vertices_equal(p, shape.origin, axis_vertex(p, t_pow(1), base_vertex(p), n))
+    assert shape.origin == axis_vertex(p, t_pow(1), base_vertex(p), n)
     assert _fixed_at(p, g, t_pow(1), n)
     assert not _fixed_at(p, g, t_pow(1), n + 1)
+
+
+@pytest.mark.parametrize("m", [10, 3000])
+def test_classify_long_hyperbolic_overlap(m):
+    # g = c t c^-1 with c = a^(2^m) fixes t^k v0 iff k <= m, so the axes of
+    # g and t share the ray below t^m v0.  The cap on the overlap is
+    # 1 + 1 + 1 = 3, so m = 10 already runs past it.
+    p = presentation("bs12")
+    g = concat(a_pow(2**m), t_pow(1), a_pow(-(2**m)))
+    begin = perf_counter()
+    shape = classify_intersection(p, g, t_pow(1))
+    assert perf_counter() - begin < 2.0
+    assert isinstance(shape, NegativeHalfLine)
+    assert shape.origin == axis_vertex(p, t_pow(1), base_vertex(p), m)
+    # word-based probes: ℓ(g) = 1, and a vertex at distance 1 from the g
+    # axis is moved 1 + 2·1
+    past = axis_vertex(p, t_pow(1), base_vertex(p), m + 1)
+    assert distance(p, shape.origin, translate(p, g, shape.origin)) == 1
+    assert distance(p, past, translate(p, g, past)) == 3
 
 
 def test_classify_long_segment():

@@ -1,7 +1,6 @@
 """Tree navigation: normal forms, distances, translation profiles, axis walks."""
 
 import random
-from itertools import islice
 from time import perf_counter
 
 import pytest
@@ -13,17 +12,15 @@ from vgbs.tree import (
     TreeVertex,
     axis_offset,
     axis_vertex,
-    axis_vertices,
     base_vertex,
+    char_distance,
     distance,
-    on_characteristic_space,
     stabilizer_coords,
     stabilizer_element,
     translate,
     translation_length,
     translation_profile,
     tree_path,
-    vertices_equal,
 )
 from vgbs.words import (
     Word,
@@ -58,22 +55,22 @@ def test_distinct_neighbors(bs12p):
     # a·t·v0 and t·v0 are different neighbors of v0: a = t a^k t^-1 has no solution
     x = _v(bs12p, t_pow(1))
     y = _v(bs12p, concat(a_pow(1), t_pow(1)))
-    assert not vertices_equal(bs12p, x, y)
-    assert vertices_equal(bs12p, _v(bs12p, a_pow(2)), base_vertex(bs12p))
+    assert x != y
+    assert _v(bs12p, a_pow(2)) == base_vertex(bs12p)
     # a^2·t·v0 = t·a·v0 = t·v0 by the relation
-    assert vertices_equal(bs12p, _v(bs12p, concat(a_pow(2), t_pow(1))), x)
+    assert _v(bs12p, concat(a_pow(2), t_pow(1))) == x
 
 
 def test_vertex_equality_is_equivalence(bs12p):
     rng = random.Random(505)
     vs = [_v(bs12p, random_word(rng, bs12p, rng.randint(0, 5))) for _ in range(6)]
     for x in vs:
-        assert vertices_equal(bs12p, x, x)
+        assert x == x
         for y in vs:
-            assert vertices_equal(bs12p, x, y) == vertices_equal(bs12p, y, x)
+            assert (x == y) == (y == x)
             for z in vs:
-                if vertices_equal(bs12p, x, y) and vertices_equal(bs12p, y, z):
-                    assert vertices_equal(bs12p, x, z)
+                if x == y and y == z:
+                    assert x == z
 
 
 def test_distance_is_a_metric(bs12p):
@@ -83,7 +80,7 @@ def test_distance_is_a_metric(bs12p):
         for y in vs:
             dxy = distance(bs12p, x, y)
             assert dxy == distance(bs12p, y, x)
-            assert (dxy == 0) == vertices_equal(bs12p, x, y)
+            assert (dxy == 0) == (x == y)
             for z in vs:
                 assert distance(bs12p, x, z) <= dxy + distance(bs12p, y, z)
 
@@ -149,13 +146,13 @@ def test_stabilizer_coords(bs12p):
 def test_translation_profiles(bs12p):
     prof = translation_profile(bs12p, a_pow(1))
     assert prof.kind == ELLIPTIC and prof.length == 0
-    assert vertices_equal(bs12p, prof.fixed, base_vertex(bs12p))
+    assert prof.fixed == base_vertex(bs12p)
 
     t_prof = translation_profile(bs12p, t_pow(1))
     assert t_prof.kind == HYPERBOLIC and t_prof.length == 1
     fd = t_prof.fundamental_domain
     assert fd.length == 1
-    assert vertices_equal(bs12p, translate(bs12p, t_pow(1), fd.start), fd.end)
+    assert translate(bs12p, t_pow(1), fd.start) == fd.end
 
 
 def test_amalgam_product_translates():
@@ -181,21 +178,68 @@ def test_length_of_powers_and_conjugates(bs12p):
 
 def test_on_characteristic_space(bs12p):
     v0 = base_vertex(bs12p)
-    assert on_characteristic_space(bs12p, a_pow(1), v0)
-    assert not on_characteristic_space(bs12p, a_pow(1), _v(bs12p, t_pow(1)))
-    assert on_characteristic_space(bs12p, a_pow(1), _v(bs12p, t_pow(-1)))
+    assert char_distance(bs12p, a_pow(1), v0) == 0
+    assert char_distance(bs12p, a_pow(1), _v(bs12p, t_pow(1))) == 1
+    assert char_distance(bs12p, a_pow(1), _v(bs12p, t_pow(-1))) == 0
     # every fundamental-domain vertex is on the axis
     fd = translation_profile(bs12p, t_pow(1)).fundamental_domain
     for i in range(fd.length + 1):
         x = fd.vertex(i)
-        assert on_characteristic_space(bs12p, t_pow(1), x)
+        assert char_distance(bs12p, t_pow(1), x) == 0
+
+
+def _scan_profile(pres, w):
+    """The translation profile by the scan the displacement identity
+    replaced: the first vertex of least displacement on [x0, w·x0]."""
+    x0 = base_vertex(pres)
+    first = tree_path(pres, x0, translate(pres, w, x0))
+    best = None
+    for i in range(first.length + 1):
+        x = first.vertex(i)
+        px = tree_path(pres, x, translate(pres, w, x))
+        if best is None or px.length < best.length:
+            best = px
+    if best.length == 0:
+        return ELLIPTIC, 0, best.start, stabilizer_coords(pres, best.start, w), None
+    return HYPERBOLIC, best.length, None, None, best
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
+def test_profile_and_projection_match_scan(name):
+    pres = presentation(name)
+    rng = random.Random(909)
+    vertices = [x for x, _ in _sample_vertices(pres, rng, 12)]
+    kinds = set()
+    for i in range(32):
+        w = random_word(rng, pres, rng.randint(0, 10))
+        if i % 2:
+            # a conjugate of a vertex element is elliptic
+            v = rng.choice(pres.graph.vertices)
+            vec = [rng.randint(-3, 3) for _ in range(v.rank)]
+            w = conjugate(pres, vertex_word(v.id, vec), w)
+        kind, length, fixed, coords, domain = _scan_profile(pres, w)
+        prof = translation_profile(pres, w)
+        assert (prof.kind, prof.length, prof.fixed) == (kind, length, fixed)
+        assert (prof.coords, prof.fundamental_domain) == (coords, domain)
+        kinds.add(kind)
+        anchor = fixed if kind == ELLIPTIC else domain.start
+        for x in rng.sample(vertices, 4):
+            # geodesic length from x to the first vertex on Char w
+            path = tree_path(pres, x, anchor)
+            near = next(
+                j
+                for j in range(path.length + 1)
+                if distance(pres, path.vertex(j), translate(pres, w, path.vertex(j))) == length
+            )
+            assert char_distance(pres, w, x) == near
+    assert kinds == ({ELLIPTIC, HYPERBOLIC} if pres.graph.edges else {ELLIPTIC})
 
 
 def test_axis_walk(bs12p):
     v0 = base_vertex(bs12p)
     t = t_pow(1)
     for k in range(-3, 4):
-        assert vertices_equal(bs12p, axis_vertex(bs12p, t, v0, k), _v(bs12p, t_pow(k)))
+        assert axis_vertex(bs12p, t, v0, k) == _v(bs12p, t_pow(k))
     x = axis_vertex(bs12p, t, v0, 2)
     assert axis_offset(bs12p, t, v0, x) == 2
     assert axis_offset(bs12p, t, x, v0) == -2
@@ -209,9 +253,11 @@ def test_long_axis_walks_are_fast(bs12p):
     t = t_pow(1)
     begin = perf_counter()
     assert axis_offset(bs12p, t, v0, _v(bs12p, t_pow(3000))) == 3000
-    walk = list(islice(axis_vertices(bs12p, t, v0, -1), 1000))
-    assert all(on_characteristic_space(bs12p, t, v) for v in walk)
-    assert walk[-1] == _v(bs12p, t_pow(-1000))
+    far = axis_vertex(bs12p, t, v0, -1000)
+    assert far == _v(bs12p, t_pow(-1000))
+    assert char_distance(bs12p, t, far) == 0
+    # t^-1000·a·t·v0 hangs one edge off the axis at far
+    assert char_distance(bs12p, t, _v(bs12p, concat(t_pow(-1000), a_pow(1), t_pow(1)))) == 1
     assert perf_counter() - begin < 1.0
 
 
