@@ -16,6 +16,7 @@ from .conjugacy import (
     ConjugacyAnswer,
     EllipticUnsupported,
     Inconclusive,
+    InternalError,
     NotConjugate,
     ReducedToPolycyclic,
     centralizer_hyperbolic,
@@ -55,6 +56,7 @@ __all__ = [
     "EllipticUnsupported",
     "Inconclusive",
     "IntersectionShape",
+    "InternalError",
     "NotConjugate",
     "ReducedToPolycyclic",
     "StableSyllable",

@@ -6,10 +6,15 @@ that none exists); align it with its counterpart from the second tuple;
 then search the centralizer of the aligned element.  That centralizer is
 a lattice of axis-fixing vertex elements extended by a minimal-shift
 hyperbolic, so the remaining search splits into a shift (read off from
-axis-intersection offsets) and a lattice intersection (solved by the
-exponent-equation machinery).  Tuples generating an elliptic subgroup
-are decidable only over rank-1 vertex groups and are delegated to the
-reachability module.
+axis-intersection offsets) and a lattice intersection: each coordinate
+gives one coset of stabilizer exponents (equations.local_conjugators,
+one integer linear system), and the cosets are intersected.  Tuples
+generating an elliptic subgroup are decidable only over rank-1 vertex
+groups and are delegated to the reachability module.
+
+Every conjugator returned is replayed in the word problem first
+(verify_conjugator); a failed replay raises InternalError, also under
+python -O.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ from .words import (
     word_simplify,
     words_equal,
 )
+
+
+class InternalError(Exception):
+    """The engine's own answer failed its check: a fault in the engine,
+    not in the input."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,17 @@ class Centralizer:
     basepoint: TreeVertex
     elliptic: Lattice
     shift_generator: Word
+
+
+def verify_conjugator(
+    pres: AdaptedPresentation, witness: Word, first: tuple[Word, ...], second: tuple[Word, ...]
+) -> None:
+    """Replay witness·x·witness⁻¹ = y for every pair in the word problem;
+    raise InternalError on the first pair that fails."""
+    witness_inv = invert_word(pres, witness)
+    for i, (x, y) in enumerate(zip(first, second)):
+        if not is_trivial(pres, concat(witness, x, witness_inv, invert_word(pres, y))):
+            raise InternalError(f"conjugator does not carry coordinate {i} onto its target")
 
 
 def find_hyperbolic_in_tuple(
@@ -178,9 +199,7 @@ def conjugate_hyperbolic(pres: AdaptedPresentation, a: Word, b: Word) -> Conjuga
         if sols is None:
             continue
         witness = word_simplify(pres, concat(stabilizer_element(pres, vj, sols.base), mover))
-        assert is_trivial(
-            pres, concat(witness, a, invert_word(pres, witness), invert_word(pres, b))
-        )
+        verify_conjugator(pres, witness, (a,), (b,))
         return Conjugate(witness)
     return NotConjugate("no axis alignment conjugates the first element to the second")
 
@@ -245,9 +264,22 @@ def multi_conjugate(
     elliptic tuples are delegated to the rank-1 reachability procedure
     when the graph allows it and refused otherwise.  A fully axis-aligned
     instance is returned as ReducedToPolycyclic rather than decided.
+
+    The translation profiles cached during the call are dropped when it
+    returns.
     """
-    first = tuple(first)
-    second = tuple(second)
+    try:
+        return _multi_conjugate(pres, tuple(first), tuple(second), state_budget)
+    finally:
+        pres.end_query()
+
+
+def _multi_conjugate(
+    pres: AdaptedPresentation,
+    first: tuple[Word, ...],
+    second: tuple[Word, ...],
+    state_budget: int,
+) -> ConjugacyAnswer:
     if not first or len(first) != len(second):
         raise ValueError("tuples must be nonempty and of equal length")
     if all(words_equal(pres, x, y) for x, y in zip(first, second)):
@@ -320,7 +352,5 @@ def multi_conjugate(
     witness = word_simplify(
         pres, concat(g0, stabilizer_element(pres, cen.basepoint, sols.base), power)
     )
-    witness_inv = invert_word(pres, witness)
-    for x, y in zip(first, second):
-        assert is_trivial(pres, concat(witness, x, witness_inv, invert_word(pres, y)))
+    verify_conjugator(pres, witness, first, second)
     return Conjugate(witness)

@@ -17,6 +17,12 @@ integer preimage in z, D shrinks to its image, every term is rewritten
 in the coordinates of the smaller D, and the middle term's image
 coordinates cross the edge by the integer map of the edge.  The loop is
 then strictly shorter, and the answer of the recursion lies inside D.
+
+The conjugacy engine asks one special equation, s(x)·g·s(x)⁻¹ = h for a
+stabilizer element s(x) (local_conjugators).  There both sides are
+reduced loops at one vertex, so the pinches are forced from the junction
+outward and the solution set is one integer linear system, with no
+branching; solve_syllable_equation stays as the general capability.
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from .linalg import (
     Lattice,
     add_vec,
     affine_preimage,
+    solve_linear_system_integer,
     sub_vec,
 )
-from .words import Word, concat, invert_word, is_trivial, reduced_form, word_power, word_simplify
-from .tree import TreeVertex, stabilizer_element, translation_profile, ELLIPTIC
+from .words import Word, concat, conjugate, invert_word, reduced_form, word_power, word_simplify
+from .tree import TreeVertex, translation_profile, ELLIPTIC
 
 
 @dataclass(frozen=True)
@@ -252,30 +259,62 @@ def local_conjugators(
     With g = h this is the slice of the centralizer of g through the
     stabilizer of v.
 
-    The answer is one coset of that slice: if x₁ and x₂ both solve, then
-    s(x₁ − x₂) commutes with g.  So the parts the solver returns span it.
+    In v's frame g and h are loops P and Q at v.rep, reduced, and x·P·x⁻¹
+    is still reduced, so by the normal-form theorem it equals Q exactly
+    when the two walks share their edges e₁…eₙ and the loop x·P·x⁻¹·Q⁻¹
+    pinches from the junction outward.  With cᵢ the image coordinates of
+    the middle term at level i (H and across of the reversed edge ēᵢ):
+
+        level n:     pₙ − x − qₙ = H_ēₙ·cₙ
+        level i:     pᵢ − qᵢ + across_ēᵢ₊₁·cᵢ₊₁ = H_ēᵢ·cᵢ
+        level 0:     p₀ + x − q₀ + across_ē₁·c₁ = 0
+
+    One integer linear system in (x, c₁, …, cₙ), no branching; the c are
+    fixed by x, so its solution set projects onto one coset of x.
     """
     rank = pres.vertex_rank(v.rep)
-    if rank == 0:
-        if is_trivial(pres, concat(g, invert_word(pres, h))):
-            return AffineLattice.full(0)
-        return None
-    units = [
-        stabilizer_element(pres, v, tuple(1 if i == j else 0 for j in range(rank)))
-        for i in range(rank)
-    ]
-    bases = tuple(units) + tuple(invert_word(pres, u) for u in units) + (Word.identity(),)
-    connectors = (
-        (Word.identity(),) * (rank - 1)
-        + (g,)
-        + (Word.identity(),) * (rank - 1)
-        + (invert_word(pres, h),)
+    into_v = invert_word(pres, v.carrier)
+    p, q = (
+        reduced_form(pres, word_simplify(pres, conjugate(pres, w, into_v)), v.rep, v.rep)
+        for w in (g, h)
     )
-    sigma = tuple(range(1, rank + 1)) * 2 + (1,)
-    parts = solve_syllable_equation(pres, SyllableEquation(rank, bases, connectors, sigma)).parts
-    if not parts:
+    if [e.id for e in p.edges] != [e.id for e in q.edges]:
         return None
-    first = parts[0]
-    gens = [sub_vec(part.base, first.base) for part in parts[1:]]
-    gens += [col for part in parts for col in part.lattice.basis.columns()]
-    return AffineLattice(first.base, Lattice.from_generators(rank, gens))
+    n = p.length
+    if n == 0:
+        return AffineLattice.full(rank) if p.terms[0] == q.terms[0] else None
+    crossed = [pres.edge_data(e.reverse) for e in p.edges]
+    # unknowns cₙ … c₁ then x, levels n … 0: outward from the junction,
+    # as the pinches go, which keeps the elimination sparse
+    starts = [0] * (n + 1)
+    for i in range(n, 0, -1):
+        starts[i - 1] = starts[i] + crossed[i - 1].image.rank
+    x_col = starts[0]
+    unit = IntMatrix.identity(rank)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for i in range(n, -1, -1):
+        block = [[0] * (x_col + rank) for _ in p.terms[i]]
+        if i == n:
+            _place(block, x_col, unit, -1)
+        if i == 0:
+            _place(block, x_col, unit, 1)
+        if i > 0:
+            _place(block, starts[i], crossed[i - 1].image.basis, -1)
+        if i < n:
+            _place(block, starts[i + 1], crossed[i].across, 1)
+        rows.extend(block)
+        rhs.extend(sub_vec(q.terms[i], p.terms[i]))
+    system = IntMatrix(len(rows), x_col + rank, tuple(map(tuple, rows)))
+    sol = solve_linear_system_integer(system, rhs)
+    if sol is None:
+        return None
+    gens = [col[x_col:] for col in sol.lattice.basis.columns()]
+    return AffineLattice(sol.base[x_col:], Lattice.from_generators(rank, gens))
+
+
+def _place(block: list[list[int]], col: int, mat: IntMatrix, sign: int) -> None:
+    """Write sign·mat into the rows of block from column col on."""
+    for r, row in enumerate(mat.entries):
+        for j, x in enumerate(row):
+            block[r][col + j] = sign * x

@@ -29,10 +29,11 @@ from .conjugacy import (
     Inconclusive,
     NotConjugate,
     find_hyperbolic_in_tuple,
+    verify_conjugator,
 )
 from .graph import AdaptedPresentation
 from .tree import TreeVertex, stabilizer_coords
-from .words import Word, concat, invert_word, is_trivial, letter_word, word_simplify
+from .words import Word, concat, invert_word, letter_word, word_simplify
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,5 @@ def gbs_multi_conjugate(
         pres,
         concat(vb.carrier, replay_witness(pres, result.edges), invert_word(pres, va.carrier)),
     )
-    witness_inv = invert_word(pres, witness)
-    for x, y in zip(first, second):
-        assert is_trivial(pres, concat(witness, x, witness_inv, invert_word(pres, y)))
+    verify_conjugator(pres, witness, first, second)
     return Conjugate(witness)

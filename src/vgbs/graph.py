@@ -263,8 +263,13 @@ class AdaptedPresentation:
 
     Group elements are words in vertex-group syllables and stable letters,
     one letter per oriented edge, with tree-edge letters equal to the
-    identity.  Instances own the caches of edge data, spanning-tree
-    routes and translation profiles, so reuse one presentation per graph.
+    identity.  Instances own the caches of edge data and spanning-tree
+    routes, which depend on the graph alone and last as long as the
+    presentation, so reuse one presentation per graph.  Translation
+    profiles are cached too; multi_conjugate drops them when it returns
+    (end_query), so they do not pile up over a stream of its queries,
+    but the other entry points (conjugate_hyperbolic,
+    centralizer_hyperbolic, classify_intersection) still accumulate them.
     """
 
     def __init__(
@@ -286,6 +291,10 @@ class AdaptedPresentation:
         self._edge_data: dict[str, _EdgeData] = {}
         self._routes: dict[tuple[str, str], tuple[Edge, ...]] = {}
         self._profiles: dict = {}
+
+    def end_query(self) -> None:
+        """Drop the caches scoped to one query: the translation profiles."""
+        self._profiles.clear()
 
     def vertex_rank(self, vid: str) -> int:
         return self.graph.vertex_rank(vid)

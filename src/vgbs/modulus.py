@@ -48,8 +48,8 @@ from .tree import (
     TreeVertex,
     axis_offset,
     axis_period,
-    axis_vertex,
     char_distance,
+    period_vertex,
     stabilizer_coords,
     translation_length,
     translation_profile,
@@ -228,16 +228,23 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
     if a < b:
         return Empty(bridge=path.subpath(a, b))
     meet = path.vertex(b)
+    # one period from meet: every axis vertex below is read off it
+    span = axis_period(pres, h, meet, 1)
+
+    def along(k: int) -> TreeVertex:
+        return period_vertex(pres, h, span, k)
 
     if elliptic:
         coords = stabilizer_coords(pres, meet, g)
-        rays = {d: _ray(pres, axis_period(pres, h, meet, d).edges, coords) for d in (1, -1)}
-        return _shape(pres, h, meet, rays[1] is None, rays[-1] is None, rays.__getitem__)
+        # h⁻¹ maps the reversed span onto the period from meet against h
+        back = tuple(pres.reverse(e) for e in reversed(span.edges))
+        rays = {1: _ray(pres, span.edges, coords), -1: _ray(pres, back, coords)}
+        return _shape(pres, along, rays[1] is None, rays[-1] is None, rays.__getitem__)
 
     cap = translation_length(pres, g) + translation_length(pres, h) + 1
 
     def probe(d: int, k: int) -> int:
-        return char_distance(pres, g, axis_vertex(pres, h, meet, d * k))
+        return char_distance(pres, g, along(d * k))
 
     off_cap = {d: probe(d, cap) for d in (1, -1)}
     positive = negative = False
@@ -262,18 +269,19 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
             off = probe(d, k)
         return k - off
 
-    return _shape(pres, h, meet, positive, negative, extent)
+    return _shape(pres, along, positive, negative, extent)
 
 
-def _shape(pres, h, meet, positive: bool, negative: bool, extent) -> IntersectionShape:
+def _shape(pres, along, positive: bool, negative: bool, extent) -> IntersectionShape:
     """Intersection through meet on the h axis, given which half-lines from
-    meet it contains; extent(d) counts the steps from meet in direction d
-    that it contains, and is asked only for a finite direction."""
+    meet it contains; along(k) is the axis vertex at offset k from meet,
+    and extent(d) counts the steps from meet in direction d that the
+    intersection contains, asked only for a finite direction."""
     if positive and negative:
         return WholeAxis()
 
     def end(d: int) -> TreeVertex:
-        return axis_vertex(pres, h, meet, d * extent(d))
+        return along(d * extent(d))
 
     if positive:
         return PositiveHalfLine(end(-1))

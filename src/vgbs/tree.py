@@ -244,7 +244,12 @@ def axis_period(
 def axis_vertex(pres: AdaptedPresentation, h: Word, origin: TreeVertex, k: int) -> TreeVertex:
     """Vertex at signed offset k from origin along the axis of h, positive
     meaning the translation direction.  origin must lie on the axis."""
-    span = axis_period(pres, h, origin, 1)
+    return period_vertex(pres, h, axis_period(pres, h, origin, 1), k)
+
+
+def period_vertex(pres: AdaptedPresentation, h: Word, span: TreePath, k: int) -> TreeVertex:
+    """Vertex at signed offset k from span.start along the axis of h, where
+    span is one period from there, axis_period(pres, h, span.start, 1)."""
     n, r = divmod(k, span.length)
     return translate(pres, word_power(pres, h, n), span.vertex(r))
 
@@ -271,8 +276,9 @@ def axis_offset(pres: AdaptedPresentation, h: Word, x: TreeVertex, y: TreeVertex
     d = distance(pres, x, y)
     if d == 0:
         return 0
-    if axis_vertex(pres, h, x, d) == y:
+    span = axis_period(pres, h, x, 1)
+    if period_vertex(pres, h, span, d) == y:
         return d
-    if axis_vertex(pres, h, x, -d) == y:
+    if period_vertex(pres, h, span, -d) == y:
         return -d
     raise ValueError("vertices do not share the axis")

@@ -366,6 +366,24 @@ def test_internal_error_is_reported_as_json(graph_file, capsys, monkeypatch):
     assert out == {"kind": "internal_error", "message": "RuntimeError: handler fault"}
 
 
+def test_failed_witness_replay_exits_three(graph_file, capsys, monkeypatch):
+    import vgbs.conjugacy
+    from vgbs.linalg import AffineLattice
+
+    real = vgbs.conjugacy.local_conjugators
+
+    def wrong(pres, v, g, h):
+        # every answer for this query is a single point; move it off
+        sol = real(pres, v, g, h)
+        return None if sol is None else AffineLattice.point(tuple(x + 1 for x in sol.base))
+
+    monkeypatch.setattr(vgbs.conjugacy, "local_conjugators", wrong)
+    code, out = run(capsys, "conjugate", graph_file("bs12"), "[te1]", "[xv0(1) te1 xv0(-1)]")
+    assert code == 3
+    assert out["kind"] == "internal_error"
+    assert out["message"].startswith("InternalError:")
+
+
 def test_base_vertex_flag(graph_file, capsys):
     path = graph_file("amalg")
     code, out = run(

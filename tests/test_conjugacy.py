@@ -10,19 +10,22 @@ import random
 
 import pytest
 
+from vgbs import conjugacy
 from vgbs.conjugacy import (
     Conjugate,
     EllipticCertificate,
     EllipticUnsupported,
     HyperbolicWitness,
+    InternalError,
     NotConjugate,
     ReducedToPolycyclic,
     centralizer_hyperbolic,
     conjugate_hyperbolic,
     find_hyperbolic_in_tuple,
     multi_conjugate,
+    verify_conjugator,
 )
-from vgbs.linalg import Lattice
+from vgbs.linalg import AffineLattice, Lattice
 from vgbs.tree import stabilizer_coords, translation_length
 from vgbs.words import (
     Word,
@@ -309,3 +312,68 @@ def test_multi_recovers_random_conjugations():
         ans = multi_conjugate(pres, first, second)
         assert isinstance(ans, Conjugate)
         _verify(pres, ans.witness, first, second)
+
+
+# --- the translation-profile cache lasts one query ----------------------
+
+
+def test_multi_conjugate_leaves_no_profiles_behind():
+    pres = presentation("bs12")
+    rng = random.Random(97)
+    for i in range(50):
+        if i % 5 == 4:
+            # elliptic tuples go to the reachability search
+            first = (a_pow(rng.choice([1, 2, 3])),)
+        else:
+            first = mixed_tuple("bs12", pres, rng)
+        by = random_word(rng, pres, rng.randint(1, 4))
+        second = tuple(word_simplify(pres, conjugate(pres, x, by)) for x in first)
+        if i % 3 == 2:
+            second = (concat(second[0], a_pow(1)),) + second[1:]
+        multi_conjugate(pres, first, second)
+        assert pres._profiles == {}
+    with pytest.raises(ValueError):
+        multi_conjugate(pres, (t_pow(1),), ())
+    assert pres._profiles == {}
+
+
+# --- witness replays are explicit checks --------------------------------
+# (the optimized CI job runs these under python -O, with src asserts gone)
+
+
+def test_verify_conjugator():
+    pres = presentation("bs12")
+    first = (t_pow(1), a_pow(1))
+    second = (concat(a_pow(1), t_pow(1), a_pow(-1)), a_pow(1))
+    verify_conjugator(pres, a_pow(1), first, second)
+    with pytest.raises(InternalError):
+        verify_conjugator(pres, a_pow(2), first, second)
+
+
+@pytest.mark.parametrize("name", ["local_conjugators", "intersect_affine"])
+def test_wrong_coset_raises_internal_error(monkeypatch, name):
+    # a wrong local coset fails the alignment replay in conjugate_hyperbolic;
+    # a wrong intersection fails the final replay in multi_conjugate
+    real = getattr(conjugacy, name)
+
+    def wrong(*args):
+        sol = real(*args)
+        return None if sol is None else AffineLattice.point(tuple(x + 1 for x in sol.base))
+
+    monkeypatch.setattr(conjugacy, name, wrong)
+    pres = presentation("bs12")
+    first = (t_pow(1), a_pow(1))
+    by = concat(a_pow(1), t_pow(1))
+    second = tuple(word_simplify(pres, conjugate(pres, x, by)) for x in first)
+    with pytest.raises(InternalError):
+        multi_conjugate(pres, first, second)
+
+
+def test_wrong_reachability_witness_raises_internal_error(monkeypatch):
+    import vgbs.gbs
+
+    monkeypatch.setattr(vgbs.gbs, "replay_witness", lambda pres, edges: a_pow(1))
+    pres = presentation("bs12")
+    # a = t⁻¹·a²·t, found by the search as one crossing of the loop
+    with pytest.raises(InternalError):
+        multi_conjugate(pres, (a_pow(2),), (a_pow(1),))

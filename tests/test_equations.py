@@ -20,12 +20,12 @@ from vgbs.equations import (
     solve_syllable_equation,
 )
 from vgbs.linalg import AffineLattice, IntMatrix, Lattice
-from vgbs.tree import base_vertex, stabilizer_element
+from vgbs.tree import base_vertex, stabilizer_element, translate, tree_path
 from vgbs.words import Word, concat, conjugate, invert_word, is_trivial, vertex_word
 
 from vgbs.graph import build_presentation
 
-from fixtures import NON_UNIMODULAR, a_pow, presentation, t_pow
+from fixtures import ALL_GRAPHS, NON_UNIMODULAR, a_pow, hnn, presentation, random_word, t_pow
 
 
 def box(p: int, radius: int):
@@ -372,3 +372,92 @@ def test_non_unimodular_local_conjugators_are_one_coset(name):
             dims.add((sol.dim, sol.lattice == Lattice.full(rank)))
     # point answers, full slices and proper full-rank sublattices all occur
     assert {(0, False), (rank, True), (rank, False)} <= dims
+
+
+# --- local conjugators against the syllable-equation route --------------
+#
+# local_conjugators solves s(x)·g·s(x)⁻¹ = h as one linear system; the
+# general solver reaches the same cosets through the equation
+# s(e₁)^x₁…s(eᵣ)^xᵣ · g · s(e₁)^-x₁…s(eᵣ)^-xᵣ · h⁻¹ = 1, branching over
+# every backtracking pair.
+
+
+def _syllable_route(pres, v, g, h):
+    rank = pres.vertex_rank(v.rep)
+    if rank == 0:
+        return AffineLattice.full(0) if is_trivial(pres, concat(g, invert_word(pres, h))) else None
+    units = [stabilizer_element(pres, v, _unit(rank, i)) for i in range(rank)]
+    bases = tuple(units) + tuple(invert_word(pres, u) for u in units) + (Word.identity(),)
+    ones = (Word.identity(),) * (rank - 1)
+    connectors = ones + (g,) + ones + (invert_word(pres, h),)
+    sigma = tuple(range(1, rank + 1)) * 2 + (1,)
+    parts = solve_syllable_equation(pres, SyllableEquation(rank, bases, connectors, sigma)).parts
+    if not parts:
+        return None
+    first = parts[0]
+    gens = [tuple(a - b for a, b in zip(part.base, first.base)) for part in parts[1:]]
+    gens += [col for part in parts for col in part.lattice.basis.columns()]
+    return AffineLattice(first.base, Lattice.from_generators(rank, gens))
+
+
+def _wide_hnn(rank: int):
+    """HNN loop at a higher rank whose edge maps have determinants 2 and 3."""
+    initial = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    terminal = [row[:] for row in initial]
+    initial[0][0], initial[0][rank - 1] = 2, 1
+    terminal[rank - 1][rank - 1], terminal[1][0] = 3, 1
+    return hnn(rank, initial, terminal)
+
+
+DIFFERENTIAL_GRAPHS = {
+    **ALL_GRAPHS,
+    **{f"non_unimodular_{name}": make for name, make in NON_UNIMODULAR.items()},
+    "hnn_rank5": lambda: _wide_hnn(5),
+    "hnn_rank6": lambda: _wide_hnn(6),
+}
+
+
+def _random_tree_vertex(rng, pres):
+    """A vertex on the geodesic from the base vertex to u·(base vertex)."""
+    far = translate(pres, random_word(rng, pres, rng.randint(0, 4), 2), base_vertex(pres))
+    path = tree_path(pres, base_vertex(pres), far)
+    return path.vertex(rng.randint(0, path.length))
+
+
+def _answer_kind(sol, rank):
+    if sol is None:
+        return "none"
+    if sol.lattice == Lattice.full(rank):
+        return "full"
+    return "point" if sol.dim == 0 else "proper"
+
+
+def test_local_conjugators_match_syllable_route():
+    rng = random.Random(4101)
+    kinds = set()
+    ranks = set()
+    for name, make in sorted(DIFFERENTIAL_GRAPHS.items()):
+        pres = build_presentation(make())
+        for _ in range(10):
+            v = _random_tree_vertex(rng, pres)
+            rank = pres.vertex_rank(v.rep)
+            ranks.add(rank)
+            if rng.random() < 0.5:
+                g = random_word(rng, pres, rng.randint(1, 5), 2)
+            else:
+                # elliptic near v: its centralizer slice is often a proper sublattice
+                w = _random_tree_vertex(rng, pres)
+                g = stabilizer_element(pres, w, _random_vec(rng, pres.vertex_rank(w.rep)))
+            slide = stabilizer_element(pres, v, _random_vec(rng, rank))
+            other = random_word(rng, pres, rng.randint(1, 3), 2)
+            for h in (g, conjugate(pres, g, slide), conjugate(pres, g, other)):
+                sol = local_conjugators(pres, v, g, h)
+                assert sol == _syllable_route(pres, v, g, h), (name, v, g, h)
+                if rank:
+                    kinds.add(_answer_kind(sol, rank))
+    assert ranks == set(range(7))
+    assert kinds == {"none", "full", "point", "proper"}
+
+
+def _random_vec(rng, rank: int) -> tuple[int, ...]:
+    return tuple(rng.randint(-2, 2) for _ in range(rank))
