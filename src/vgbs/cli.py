@@ -38,6 +38,7 @@ from .graph import (
     build_presentation,
     graph_from_dict,
 )
+from .linalg import InternalError
 from .modulus import Empty, Finite, NegativeHalfLine, PositiveHalfLine, classify_intersection
 from .tree import ELLIPTIC, TreeVertex, stabilizer_element, translation_profile
 from .words import (
@@ -234,7 +235,8 @@ def _cmd_conjugate(args) -> tuple[dict, int]:
             "explored": answer.explored,
             "budget": answer.budget,
         }, 2
-    assert isinstance(answer, ReducedToPolycyclic)
+    if not isinstance(answer, ReducedToPolycyclic):
+        raise InternalError(f"unknown answer type {type(answer).__name__}")
     gens = [
         render_word(stabilizer_element(pres, answer.basepoint, answer.elliptic.basis.column(j)))
         for j in range(answer.elliptic.rank)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .equations import local_conjugators
 from .graph import AdaptedPresentation
-from .linalg import AffineLattice, Lattice, intersect_affine
+from .linalg import AffineLattice, InternalError, Lattice, intersect_affine
 from .modulus import WholeAxis, classify_intersection, shift_length
 from .tree import (
     HYPERBOLIC,
@@ -47,11 +47,6 @@ from .words import (
     word_simplify,
     words_equal,
 )
-
-
-class InternalError(Exception):
-    """The engine's own answer failed its check: a fault in the engine,
-    not in the input."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,8 @@ def _common_fixed_vertex(pres, items) -> TreeVertex:
     if current is None:
         return base_vertex(pres)
     for w in items:
-        assert is_trivial(pres, w) or stabilizer_coords(pres, current, w) is not None
+        if not is_trivial(pres, w) and stabilizer_coords(pres, current, w) is None:
+            raise InternalError("the common vertex is not fixed by the whole tuple")
     return current
 
 
@@ -234,13 +230,16 @@ def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
             continue
         shift = word_simplify(pres, concat(mover, stabilizer_element(pres, w0, cand.base)))
         break
-    assert shift is not None
-
-    assert is_trivial(pres, commutator(pres, shift, h))
-    assert profile.length % translation_length(pres, shift) == 0
+    if shift is None:
+        raise InternalError("no shift realized, although h realizes its own period")
+    if not is_trivial(pres, commutator(pres, shift, h)):
+        raise InternalError("the shift generator does not commute with h")
+    if profile.length % translation_length(pres, shift) != 0:
+        raise InternalError("the shift length does not divide the period of h")
     for j in range(lattice.rank):
         gen = stabilizer_element(pres, w0, lattice.basis.column(j))
-        assert is_trivial(pres, commutator(pres, gen, h))
+        if not is_trivial(pres, commutator(pres, gen, h)):
+            raise InternalError(f"centralizer lattice generator {j} does not commute with h")
     return Centralizer(w0, lattice, shift)
 
 

@@ -32,6 +32,7 @@ from .conjugacy import (
     verify_conjugator,
 )
 from .graph import AdaptedPresentation
+from .linalg import InternalError
 from .tree import TreeVertex, stabilizer_coords
 from .words import Word, concat, invert_word, letter_word, word_simplify
 
@@ -120,7 +121,7 @@ def _valuation(n: int, base: tuple[int, ...]) -> tuple[int, ...]:
             k += 1
         vec.append(k)
     if n != 1:
-        raise AssertionError(f"{n} does not factor over the coprime base {base}")
+        raise InternalError(f"{n} does not factor over the coprime base {base}")
     return tuple(vec)
 
 
@@ -248,7 +249,8 @@ def gbs_multi_conjugate(
         out = []
         for w in items:
             coords = stabilizer_coords(pres, vertex, w)
-            assert coords is not None
+            if coords is None:
+                raise InternalError("the certificate vertex does not fix the tuple")
             out.append(coords[0])
         return tuple(out)
 

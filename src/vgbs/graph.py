@@ -313,9 +313,6 @@ class AdaptedPresentation:
             self._edge_data[eid] = data
         return data
 
-    def edge_image(self, edge: Edge | str) -> Lattice:
-        return self.edge_data(edge).image
-
     def transport_across(self, edge: Edge | str, x: Sequence[int]) -> IntVec | None:
         """Cross one edge: defined on the inj_initial image, lands in the
         inj_terminal image; None when x is outside the domain."""

@@ -1,12 +1,11 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-All computations use Python ints and fractions.Fraction, so nothing here
-rounds.  The lattice side is integer-only: lattices (subgroups of Z^n)
-kept in a canonical column Hermite basis, affine lattices (cosets) with
-canonical base points, their integer images and preimages, and finite
-unions of affine lattices.  The rational side serves compute_modulus
-only: rational solves and inverses, reduced column echelon form,
-subspaces, and the restriction of a map to an invariant subspace.
+All computations use Python ints, so nothing here rounds: lattices
+(subgroups of Z^n) kept in a canonical column Hermite basis, affine
+lattices (cosets) with canonical base points, their integer images and
+preimages, and finite unions of affine lattices.  Fractions appear only
+in Lattice.coords and in RatMatrix, the read-only output type of
+compute_modulus.
 """
 
 from __future__ import annotations
@@ -19,6 +18,11 @@ from typing import Sequence
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
+
+
+class InternalError(Exception):
+    """The engine's own answer failed its check: a fault in the engine,
+    not in the input.  Raised explicitly, so python -O keeps the check."""
 
 
 def add_vec(u: Sequence, v: Sequence) -> tuple:
@@ -57,12 +61,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+class _Matrix:
+    """Immutable matrix, entries stored row-major; the constructors
+    convert each entry to the subclass's entry type."""
 
     rows: int
     cols: int
-    entries: tuple[IntVec, ...]
+    entries: tuple
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows:
@@ -71,8 +76,8 @@ class IntMatrix:
             raise ValueError("column count mismatch")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
-        rows = [tuple(int(x) for x in row) for row in rows]
+    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None):
+        rows = [tuple(map(cls.entry, row)) for row in rows]
         if cols is None:
             if not rows:
                 raise ValueError("need explicit column count for an empty row list")
@@ -80,14 +85,30 @@ class IntMatrix:
         return cls(len(rows), cols, tuple(rows))
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> IntMatrix:
-        columns = [tuple(int(x) for x in col) for col in columns]
+    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None):
+        columns = [tuple(map(cls.entry, col)) for col in columns]
         if rows is None:
             if not columns:
                 raise ValueError("need explicit row count for an empty column list")
             rows = len(columns[0])
         entries = tuple(tuple(col[i] for col in columns) for i in range(rows))
         return cls(rows, len(columns), entries)
+
+    def mul(self, other: _Matrix):
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        ot = [tuple(row[j] for row in other.entries) for j in range(other.cols)]
+        prod = tuple(
+            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+            for row in self.entries
+        )
+        return type(self)(self.rows, other.cols, prod)
+
+
+class IntMatrix(_Matrix):
+    """Immutable integer matrix."""
+
+    entry = int
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
@@ -106,16 +127,6 @@ class IntMatrix:
     def transpose(self) -> IntMatrix:
         return IntMatrix(self.cols, self.rows, tuple(self.columns()))
 
-    def mul(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().entries
-        prod = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
-        return IntMatrix(self.rows, other.cols, prod)
-
     def mul_vec(self, v: Sequence[int]) -> IntVec:
         if len(v) != self.cols:
             raise ValueError("shape mismatch in matrix-vector product")
@@ -133,82 +144,16 @@ class IntMatrix:
     def scale(self, c: int) -> IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.entries))
 
-    def rational(self) -> RatMatrix:
-        return RatMatrix(
-            self.rows, self.cols, tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        )
 
+class RatMatrix(_Matrix):
+    """Read-only matrix over Fraction: the result type of compute_modulus."""
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable matrix over Fraction, entries stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[RatVec, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("column count mismatch")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> RatMatrix:
-        rows = [tuple(Fraction(x) for x in row) for row in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("need explicit column count for an empty row list")
-            cols = len(rows[0])
-        return cls(len(rows), cols, tuple(rows))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> RatMatrix:
-        columns = [tuple(Fraction(x) for x in col) for col in columns]
-        if rows is None:
-            if not columns:
-                raise ValueError("need explicit row count for an empty column list")
-            rows = len(columns[0])
-        entries = tuple(tuple(col[i] for col in columns) for i in range(rows))
-        return cls(rows, len(columns), entries)
-
-    @classmethod
-    def identity(cls, n: int) -> RatMatrix:
-        return IntMatrix.identity(n).rational()
-
-    def column(self, j: int) -> RatVec:
-        return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> list[RatVec]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> RatMatrix:
-        return RatMatrix(self.cols, self.rows, tuple(self.columns()))
-
-    def mul(self, other: RatMatrix) -> RatMatrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().entries
-        prod = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
-        return RatMatrix(self.rows, other.cols, prod)
+    entry = Fraction
 
     def mul_vec(self, v: Sequence) -> RatVec:
         if len(v) != self.cols:
             raise ValueError("shape mismatch in matrix-vector product")
         return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self.entries)
-
-    def clear_denominators(self) -> tuple[int, IntMatrix]:
-        """Return (d, d*self) with d the least common denominator."""
-        d = 1
-        for row in self.entries:
-            for x in row:
-                d = math.lcm(d, x.denominator)
-        scaled = tuple(tuple(int(x * d) for x in row) for row in self.entries)
-        return d, IntMatrix(self.rows, self.cols, scaled)
-
 
 
 def column_hnf_with_transform(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -340,8 +285,19 @@ class Lattice:
         """Canonical representative of v + self; constant on cosets."""
         return self.split(v)[1]
 
-    def span(self) -> RatSubspace:
-        return RatSubspace(self.ambient_dim, self.basis.rational())
+    @property
+    def pivot_product(self) -> int:
+        """Product of the Hermite pivots, the index of the lattice's
+        projection onto its pivot rows: it times any integer vector of the
+        rational span lies in the lattice."""
+        return math.prod(col[r] for r, col in self._pivot_columns)
+
+    def coords(self, v: Sequence) -> RatVec | None:
+        """Rational coordinates of v in the basis, or None when v lies
+        outside the rational span."""
+        scale = self.pivot_product * math.lcm(*(x.denominator for x in v))
+        q = self.member_coords(tuple(int(x * scale) for x in v))
+        return None if q is None else tuple(Fraction(c, scale) for c in q)
 
 
 def intersect_lattices(a: Lattice, b: Lattice) -> Lattice:
@@ -498,137 +454,3 @@ class AffineLatticeUnion:
 
     def contains(self, v: Sequence[int]) -> bool:
         return any(p.contains(v) for p in self.parts)
-
-
-def rat_solve(mat: RatMatrix, rhs: Sequence) -> RatVec | None:
-    """One rational solution of mat @ x = rhs, or None."""
-    m, n = mat.rows, mat.cols
-    rows = [list(row) + [Fraction(b)] for row, b in zip(mat.entries, rhs, strict=True)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for pr, pc in pivots:
-        x[pc] = rows[pr][n] - sum((rows[pr][c] * x[c] for c in range(pc + 1, n)), Fraction(0))
-    # full reduction already cleared the other pivot columns, so back
-    # substitution only sees free columns; verify to be safe
-    if mat.mul_vec(x) != tuple(Fraction(b) for b in rhs):
-        raise AssertionError("rational solve produced a bad solution")
-    return tuple(x)
-
-
-def rat_inverse(mat: RatMatrix) -> RatMatrix:
-    if mat.rows != mat.cols:
-        raise ValueError("only square matrices can be inverted")
-    n = mat.rows
-    cols = []
-    for j in range(n):
-        e = tuple(Fraction(int(i == j)) for i in range(n))
-        x = rat_solve(mat, e)
-        if x is None:
-            raise ValueError("matrix is singular")
-        cols.append(x)
-    return RatMatrix.from_columns(cols, rows=n)
-
-
-def left_inverse(mat: RatMatrix) -> RatMatrix:
-    """Left inverse of a full-column-rank matrix: (A^T A)^-1 A^T."""
-    At = mat.transpose()
-    gram = At.mul(mat)
-    try:
-        return rat_inverse(gram).mul(At)
-    except ValueError:
-        raise ValueError("matrix does not have full column rank") from None
-
-
-def rcef(mat: RatMatrix) -> RatMatrix:
-    """Reduced column echelon form with zero columns dropped.
-
-    Canonical basis of the column space: pivot rows strictly increase,
-    pivots are 1, and every other entry in a pivot row is 0.
-    """
-    m, n = mat.rows, mat.cols
-    cols = [list(mat.column(j)) for j in range(n)]
-    c = 0
-    for r in range(m):
-        if c == n:
-            break
-        pj = next((j for j in range(c, n) if cols[j][r] != 0), None)
-        if pj is None:
-            continue
-        cols[c], cols[pj] = cols[pj], cols[c]
-        inv = 1 / cols[c][r]
-        cols[c] = [x * inv for x in cols[c]]
-        for j in range(n):
-            if j != c and cols[j][r] != 0:
-                f = cols[j][r]
-                cols[j] = [x - f * y for x, y in zip(cols[j], cols[c])]
-        c += 1
-    return RatMatrix.from_columns(cols[:c], rows=m)
-
-
-@dataclass(frozen=True)
-class RatSubspace:
-    """Rational subspace of Q^n in a canonical reduced-column-echelon basis."""
-
-    ambient_dim: int
-    basis: RatMatrix
-
-    def __post_init__(self) -> None:
-        if self.basis.rows != self.ambient_dim:
-            raise ValueError("basis does not live in the ambient space")
-        object.__setattr__(self, "basis", rcef(self.basis))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.cols
-
-    @cached_property
-    def _pivot_rows(self) -> tuple[int, ...]:
-        return tuple(
-            next(i for i in range(self.ambient_dim) if self.basis.entries[i][j] != 0)
-            for j in range(self.basis.cols)
-        )
-
-    def coords(self, v: Sequence) -> RatVec | None:
-        """Coordinates of v in the echelon basis, or None if v is outside."""
-        v = tuple(Fraction(x) for x in v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector has wrong dimension")
-        x = tuple(v[r] for r in self._pivot_rows)
-        if self.basis.mul_vec(x) != v:
-            return None
-        return x
-
-
-def restriction_matrix(basis: RatMatrix, mat: RatMatrix) -> RatMatrix:
-    """Matrix of mat on the subspace spanned by basis, in that basis.
-
-    Requires the subspace to be invariant; raises ValueError otherwise.
-    """
-    cols = []
-    for j in range(basis.cols):
-        img = mat.mul_vec(basis.column(j))
-        x = rat_solve(basis, img)
-        if x is None:
-            raise ValueError("subspace is not invariant under the map")
-        cols.append(x)
-    return RatMatrix.from_columns(cols, rows=basis.cols)
-

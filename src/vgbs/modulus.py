@@ -19,27 +19,27 @@ ends of the bridge between them with one translate each.  Past the end
 E of an overlap with the h axis, a vertex v on that axis has
 d(v, Char g) = d(v, E), so one probe at offset k from a common vertex
 finds the end at k − char_distance(g, v); a probe still on the g axis
-doubles k.  The rational modulus of the paper (compute_modulus) is not
-on the decision path.
+doubles k.  The paper's modulus (compute_modulus) uses the same integer
+walk and builds Fractions only for the matrix it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .graph import AdaptedPresentation, Edge
 from .linalg import (
     IntVec,
+    InternalError,
     Lattice,
     RatMatrix,
-    RatSubspace,
     affine_preimage,
     image_lattice,
     intersect_lattices,
-    left_inverse,
-    restriction_matrix,
     saturate_lattice,
+    zero_vec,
 )
 from .tree import (
     ELLIPTIC,
@@ -62,7 +62,7 @@ class Modulus:
     """One-period conjugation action on a basepoint vertex group."""
 
     basepoint: TreeVertex
-    domain: RatSubspace
+    domain: Lattice
     matrix: RatMatrix
 
 
@@ -104,10 +104,14 @@ def compute_modulus(
     """Domain and matrix of the one-period action of a hyperbolic h.
 
     The basepoint must lie on the axis; by default the start of the
-    fundamental domain is used.  For x in the domain with s(x) the
-    corresponding vertex element, h s(x) h^-1 has coordinates matrix @ x.
-    This is the paper's modulus, in rational arithmetic; nothing on the
-    decision path calls it.
+    fundamental domain is used.  The domain is the saturated lattice of
+    the largest subspace the action maps onto itself, and for x in it
+    with coordinates c in its Hermite basis, h s(x) h^-1 has coordinates
+    matrix @ c.  A pivot above 1 makes that basis differ from the reduced
+    echelon one: inj_initial [[2,0],[1,0],[0,1]] and inj_terminal
+    [[0,2],[0,1],[1,0]] give the basis (2, 1, 0), (0, 0, 1) and the
+    matrix [[0,1],[1,0]], which the basis (1, 1/2, 0), (0, 0, 1) writes
+    as [[0,2],[1/2,0]].  The paper's modulus; no decision calls it.
     """
     profile = translation_profile(pres, h)
     if profile.kind != HYPERBOLIC:
@@ -117,34 +121,34 @@ def compute_modulus(
     period = axis_period(pres, h, basepoint, -1)
     rank = pres.vertex_rank(basepoint.rep)
 
-    # x fixes the path to h^-1 basepoint iff every partial transport of x
-    # lands in the corresponding edge image; the full composite is then
-    # the coordinate vector of h s(x) h^-1 back at the basepoint.  With d
-    # the common denominator, T·x lies in the image L iff d·T·x lies in d·L.
-    transport = RatMatrix.identity(rank)
-    fixators = Lattice.full(rank)
-    for e in period.edges:
-        d, scaled = transport.clear_denominators()
-        image = pres.edge_image(e)
-        pre = affine_preimage(
-            (0,) * scaled.rows, scaled, Lattice(image.ambient_dim, image.basis.scale(d))
-        )
-        assert pre is not None  # homogeneous, so 0 always solves
-        fixators = intersect_lattices(fixators, pre.lattice)
-        crossing = e.inj_terminal.rational().mul(left_inverse(e.inj_initial.rational()))
-        transport = crossing.mul(transport)
+    def walk(x: IntVec) -> IntVec:
+        for e in period.edges:
+            x = pres.transport_across(e, x)
+        return x
 
+    # x fixes the path to h^-1 basepoint iff each partial walk stays in
+    # the next edge image: pull that back from the last edge.
+    fixators = Lattice.full(rank)
+    for e in reversed(period.edges):
+        data = pres.edge_data(e)
+        pre = affine_preimage(zero_vec(data.across.rows), data.across, fixators)
+        fixators = image_lattice(data.image.basis, pre.lattice)
+
+    # The fixators in a span have full rank in it and an integral walk.
     span = saturate_lattice(fixators)
     while True:
-        _, scaled = transport.clear_denominators()
-        forward = saturate_lattice(image_lattice(scaled, span))
-        refined = intersect_lattices(forward, span)
+        inner = intersect_lattices(span, fixators)
+        image = Lattice.from_generators(rank, [walk(x) for x in inner.basis.columns()])
+        refined = intersect_lattices(saturate_lattice(image), span)
         if refined == span:
             break
         span = refined
 
-    domain = span.span()
-    return Modulus(basepoint, domain, restriction_matrix(domain.basis, transport))
+    # d·b is a fixator for d = [span : inner], and walks into the span.
+    d = inner.pivot_product // span.pivot_product
+    images = [span.member_coords(walk(tuple(d * x for x in b))) for b in span.basis.columns()]
+    columns = [[Fraction(c, d) for c in image] for image in images]
+    return Modulus(basepoint, span, RatMatrix.from_columns(columns, rows=span.rank))
 
 
 def _ray(pres: AdaptedPresentation, period_edges: Sequence[Edge], coords: IntVec) -> int | None:
@@ -255,7 +259,8 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
         comm = commutator(pres, g, h)
         if is_trivial(pres, comm):
             return WholeAxis()
-        assert translation_profile(pres, comm).kind == ELLIPTIC
+        if translation_profile(pres, comm).kind != ELLIPTIC:
+            raise InternalError("the commutator of a long overlap is not elliptic")
         inner = classify_intersection(pres, comm, h)
         positive = isinstance(inner, (WholeAxis, PositiveHalfLine))
         negative = isinstance(inner, (WholeAxis, NegativeHalfLine))

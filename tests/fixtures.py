@@ -84,10 +84,12 @@ def z4f2() -> VGBSGraph:
 
 
 def hnn(rank: int, initial, terminal) -> VGBSGraph:
-    """One rank-r vertex with one loop: t · s(initial·x) · t⁻¹ = s(terminal·x)."""
+    """One rank-r vertex with one loop: t · s(initial·x) · t⁻¹ = s(terminal·x).
+    The edge group's rank is the column count of the matrices."""
+    edge_rank = len(initial[0])
     return VGBSGraph(
         (Vertex("v0", rank),),
-        _loop_pair("e1", "v0", rank, _m(initial, rank), _m(terminal, rank)),
+        _loop_pair("e1", "v0", edge_rank, _m(initial, edge_rank), _m(terminal, edge_rank)),
     )
 
 

@@ -350,10 +350,22 @@ def test_verify_conjugator():
         verify_conjugator(pres, a_pow(2), first, second)
 
 
-@pytest.mark.parametrize("name", ["local_conjugators", "intersect_affine"])
-def test_wrong_coset_raises_internal_error(monkeypatch, name):
-    # a wrong local coset fails the alignment replay in conjugate_hyperbolic;
-    # a wrong intersection fails the final replay in multi_conjugate
+@pytest.mark.parametrize(
+    "name, entry",
+    [
+        pytest.param("local_conjugators", multi_conjugate, id="local_conjugators"),
+        pytest.param("intersect_affine", multi_conjugate, id="intersect_affine"),
+        pytest.param(
+            "local_conjugators",
+            lambda pres, first, second: centralizer_hyperbolic(pres, first[0]),
+            id="centralizer_hyperbolic",
+        ),
+    ],
+)
+def test_wrong_coset_raises_internal_error(monkeypatch, name, entry):
+    # a wrong local coset fails the alignment replay in conjugate_hyperbolic
+    # and the commutator checks in centralizer_hyperbolic; a wrong
+    # intersection fails the final replay in multi_conjugate
     real = getattr(conjugacy, name)
 
     def wrong(*args):
@@ -366,7 +378,7 @@ def test_wrong_coset_raises_internal_error(monkeypatch, name):
     by = concat(a_pow(1), t_pow(1))
     second = tuple(word_simplify(pres, conjugate(pres, x, by)) for x in first)
     with pytest.raises(InternalError):
-        multi_conjugate(pres, first, second)
+        entry(pres, first, second)
 
 
 def test_wrong_reachability_witness_raises_internal_error(monkeypatch):

@@ -30,6 +30,7 @@ from vgbs.gbs import (
     gbs_multi_conjugate,
     replay_witness,
 )
+from vgbs.linalg import InternalError
 from vgbs.words import (
     Word,
     concat,
@@ -106,7 +107,7 @@ def test_instance_base_is_coprime_not_prime(p, q, expected):
 
 def test_valuation_rejects_numbers_outside_the_base():
     assert _valuation(-72, (2, 3)) == (3, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalError):
         _valuation(10, (2, 3))
 
 

@@ -8,7 +8,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from vgbs.linalg import (
@@ -16,18 +15,11 @@ from vgbs.linalg import (
     AffineLatticeUnion,
     IntMatrix,
     Lattice,
-    RatMatrix,
-    RatSubspace,
     affine_preimage,
     column_hnf_with_transform,
     integer_kernel,
     intersect_affine,
     intersect_lattices,
-    left_inverse,
-    rat_inverse,
-    rat_solve,
-    rcef,
-    restriction_matrix,
     saturate_lattice,
     solve_linear_system_integer,
     xgcd,
@@ -276,45 +268,18 @@ def test_union_canonicalization_and_queries():
     assert u.contains((6,)) and not u.contains((3,))
 
 
-def test_rat_solve_and_inverse():
-    m = RatMatrix.from_rows([[1, 2], [3, 4]])
-    inv = rat_inverse(m)
-    assert inv.entries == ((Fraction(-2), Fraction(1)), (Fraction(3, 2), Fraction(-1, 2)))
-    assert m.mul(inv) == RatMatrix.identity(2)
-    assert rat_solve(RatMatrix.from_rows([[1, 1], [2, 2]]), (1, 3)) is None
-    sol = rat_solve(RatMatrix.from_rows([[1, 1], [2, 2]]), (1, 2))
-    assert sol is not None and sum(sol) == 1
-
-
-def test_left_inverse():
-    a = RatMatrix.from_rows([[1, 0], [0, 1], [2, 3]])
-    li = left_inverse(a)
-    assert li.mul(a) == RatMatrix.identity(2)
-    with pytest.raises(ValueError):
-        left_inverse(RatMatrix.from_rows([[1, 2], [2, 4]]))
-
-
-def test_rcef_canonical():
-    m = RatMatrix.from_rows([[2, 4], [1, 2], [0, 1]])
-    e = rcef(m)
-    assert e.cols == 2
-    assert e.column(0) == (Fraction(1), Fraction(1, 2), Fraction(0))
-    # same span regardless of generator order or scaling
-    assert rcef(RatMatrix.from_rows([[4, 2], [2, 1], [1, 0]])) == e
-
-
 def test_subspace_coords():
-    s = RatSubspace(3, RatMatrix.from_columns([(1, 0, 2), (0, 1, 3)]))
-    assert s.dim == 2
+    # rational coordinates in the Hermite basis; None off the span
+    s = Lattice.from_generators(3, [(1, 0, 2), (0, 1, 3)])
+    assert s.rank == 2
     assert s.coords((2, 1, 7)) == (Fraction(2), Fraction(1))
+    assert s.coords((Fraction(1, 2), Fraction(-1, 3), Fraction(0))) == (
+        Fraction(1, 2),
+        Fraction(-1, 3),
+    )
     assert s.coords((0, 0, 1)) is None
-
-
-def test_restriction_matrix_checks_invariance():
-    basis = RatMatrix.from_columns([(1, 0)])
-    shear = RatMatrix.from_rows([[1, 1], [0, 1]])
-    assert restriction_matrix(basis, shear).entries == ((Fraction(1),),)
-    tilt = RatMatrix.from_rows([[0, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        restriction_matrix(basis, tilt)
-
+    # a pivot of 2: (1, 1/2, 0) is half the basis vector (2, 1, 0)
+    t = Lattice.from_generators(3, [(2, 1, 0), (0, 0, 1)])
+    assert t.basis.columns() == [(2, 1, 0), (0, 0, 1)]
+    assert t.coords((Fraction(1), Fraction(1, 2), Fraction(5))) == (Fraction(1, 2), Fraction(5))
+    assert t.coords((1, 0, 0)) is None

@@ -46,6 +46,8 @@ from vgbs.words import (
     word_simplify,
 )
 
+from test_acceptance import _check_integral_points
+
 from fixtures import (
     ALL_GRAPHS,
     NON_UNIMODULAR,
@@ -73,8 +75,52 @@ def test_modulus_frozen_matrices():
 
 def test_modulus_domain_and_basepoint():
     mod = compute_modulus(presentation("bs12"), t_pow(1))
-    assert mod.domain.dim == 1
+    assert mod.domain.rank == 1
     assert mod.basepoint.rep == "v0"
+
+
+# Loops whose edge group is smaller than the vertex group, so the domain
+# can be a proper sublattice: (h, domain basis, matrix) worked out by hand
+# from t · s(initial·y) · t⁻¹ = s(terminal·y).
+PROPER_DOMAINS = {
+    # e1, e2 ↦ e2, e1 inside Z^3
+    "swap": (
+        hnn(3, [[1, 0], [0, 1], [0, 0]], [[0, 1], [1, 0], [0, 0]]),
+        [(t_pow(1), [(1, 0, 0), (0, 1, 0)], [[0, 1], [1, 0]])],
+    ),
+    # e1, e2 ↦ e1, e3: only e1 stays inside the domain
+    "tilt": (
+        hnn(3, [[1, 0], [0, 1], [0, 0]], [[1, 0], [0, 0], [0, 1]]),
+        [(t_pow(1), [(1, 0, 0)], [[1]])],
+    ),
+    # e1 ↦ e2: the image leaves the fixators at once
+    "rotation": (hnn(2, [[1], [0]], [[0], [1]]), [(t_pow(1), [], [])]),
+    # e1 ↦ 2·e1, and back
+    "scaling": (
+        hnn(2, [[1], [0]], [[2], [0]]),
+        [
+            (t_pow(1), [(1, 0)], [[2]]),
+            (t_pow(-1), [(1, 0)], [[Fraction(1, 2)]]),
+        ],
+    ),
+    # (2, 1, 0), e3 ↦ e3, (2, 1, 0): the saturated basis has a pivot of 2,
+    # and in it the map is a plain swap
+    "pivot2": (
+        hnn(3, [[2, 0], [1, 0], [0, 1]], [[0, 2], [0, 1], [1, 0]]),
+        [(t_pow(1), [(2, 1, 0), (0, 0, 1)], [[0, 1], [1, 0]])],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPER_DOMAINS))
+def test_modulus_proper_domains(name):
+    graph, cases = PROPER_DOMAINS[name]
+    p = build_presentation(graph)
+    for h, basis, rows in cases:
+        mod = compute_modulus(p, h)
+        assert mod.domain.basis.columns() == basis
+        assert mod.matrix == RatMatrix.from_rows(rows, cols=len(basis))
+        _check_integral_points(p, h, mod)
 
 
 def test_modulus_matches_conjugation():
