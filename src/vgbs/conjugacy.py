@@ -28,8 +28,8 @@ from .modulus import WholeAxis, classify_intersection, shift_length
 from .tree import (
     HYPERBOLIC,
     TreeVertex,
+    _transport_walk,
     base_vertex,
-    fixed_prefix,
     stabilizer_coords,
     stabilizer_element,
     translation_length,
@@ -150,7 +150,7 @@ def _common_fixed_vertex(pres, items) -> TreeVertex:
     # Successive projection: project the running common vertex onto the
     # next fixed subtree; the projection stays inside all earlier ones.
     # Walking from a vertex w fixes towards it, the projection is the
-    # last vertex w still fixes.
+    # last vertex w still fixes (the end of the walk when w fixes it).
     current = None
     for w in items:
         if is_trivial(pres, w):
@@ -158,10 +158,9 @@ def _common_fixed_vertex(pres, items) -> TreeVertex:
         profile = translation_profile(pres, w)
         if current is None:
             current = profile.fixed
-        elif stabilizer_coords(pres, current, w) is None:
+        else:
             path = tree_path(pres, profile.fixed, current)
-            fixed = fixed_prefix(pres, path.edges, profile.coords)
-            current = path.vertex(fixed)
+            current = path.vertex(_transport_walk(pres, path.edges, profile.coords)[0])
     if current is None:
         return base_vertex(pres)
     for w in items:
@@ -170,13 +169,31 @@ def _common_fixed_vertex(pres, items) -> TreeVertex:
     return current
 
 
+def _align(pres: AdaptedPresentation, a: Word, b: Word, offsets: range) -> Word | None:
+    """The first conjugator c with c·a·c⁻¹ = b that carries the start v of
+    a's fundamental domain to vertex j of b's, over j in offsets, or None.
+    Those carrying v to vj are s(x)·mover, mover = carrier(vj)·carrier(v)⁻¹
+    and s(x) in the stabilizer of vj: one local_conjugators call each."""
+    v = translation_profile(pres, a).fundamental_domain.start
+    dom = translation_profile(pres, b).fundamental_domain
+    for j in offsets:
+        vj = dom.vertex(j)
+        if vj.rep != v.rep:
+            continue
+        mover = word_simplify(pres, concat(vj.carrier, invert_word(pres, v.carrier)))
+        sols = local_conjugators(pres, vj, conjugate(pres, a, mover), b)
+        if sols is not None:
+            return word_simplify(pres, concat(stabilizer_element(pres, vj, sols.base), mover))
+    return None
+
+
 def conjugate_hyperbolic(pres: AdaptedPresentation, a: Word, b: Word) -> ConjugacyAnswer:
     """Decide conjugacy of two hyperbolic elements.
 
     Any conjugator can be adjusted by a power of b until it carries a
     chosen axis vertex of a into the fundamental domain of b, so it
     suffices to scan those finitely many vertices and solve for a
-    stabilizer correction at each.
+    stabilizer correction at each (_align).
     """
     pa = translation_profile(pres, a)
     pb = translation_profile(pres, b)
@@ -184,20 +201,11 @@ def conjugate_hyperbolic(pres: AdaptedPresentation, a: Word, b: Word) -> Conjuga
         raise ValueError("both elements must be hyperbolic")
     if pa.length != pb.length:
         return NotConjugate("translation lengths differ")
-    v = pa.fundamental_domain.start
-    dom = pb.fundamental_domain
-    for j in range(pb.length):
-        vj = dom.vertex(j)
-        if vj.rep != v.rep:
-            continue
-        mover = word_simplify(pres, concat(vj.carrier, invert_word(pres, v.carrier)))
-        sols = local_conjugators(pres, vj, conjugate(pres, a, mover), b)
-        if sols is None:
-            continue
-        witness = word_simplify(pres, concat(stabilizer_element(pres, vj, sols.base), mover))
-        verify_conjugator(pres, witness, (a,), (b,))
-        return Conjugate(witness)
-    return NotConjugate("no axis alignment conjugates the first element to the second")
+    witness = _align(pres, a, b, range(pb.length))
+    if witness is None:
+        return NotConjugate("no axis alignment conjugates the first element to the second")
+    verify_conjugator(pres, witness, (a,), (b,))
+    return Conjugate(witness)
 
 
 def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
@@ -205,31 +213,16 @@ def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
 
     Commuting elliptic elements fix the whole axis, so they form the
     self-conjugation lattice at any axis vertex.  The hyperbolic part is
-    found by scanning fundamental-domain vertices in the basepoint orbit
-    for the smallest realizable shift; h itself realizes the full period,
-    so the scan always succeeds.
+    the first alignment of h with itself (_align) that moves the start of
+    its fundamental domain by k = 1…ℓ(h) steps: the smallest realizable
+    shift.  h itself realizes k = ℓ(h), so the scan always succeeds.
     """
     profile = translation_profile(pres, h)
     if profile.kind != HYPERBOLIC:
         raise ValueError("centralizers are computed for hyperbolic elements")
-    dom = profile.fundamental_domain
-    w0 = dom.start
-
+    w0 = profile.fundamental_domain.start
     lattice = local_conjugators(pres, w0, h, h).lattice
-
-    shift = None
-    for k in range(1, profile.length + 1):
-        vk = dom.vertex(k)
-        if vk.rep != w0.rep:
-            continue
-        mover = word_simplify(pres, concat(vk.carrier, invert_word(pres, w0.carrier)))
-        cand = local_conjugators(
-            pres, w0, h, conjugate(pres, h, invert_word(pres, mover))
-        )
-        if cand is None:
-            continue
-        shift = word_simplify(pres, concat(mover, stabilizer_element(pres, w0, cand.base)))
-        break
+    shift = _align(pres, h, h, range(1, profile.length + 1))
     if shift is None:
         raise InternalError("no shift realized, although h realizes its own period")
     if not is_trivial(pres, commutator(pres, shift, h)):

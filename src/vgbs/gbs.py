@@ -130,10 +130,6 @@ def _require_rank_one(pres: AdaptedPresentation) -> None:
         raise ValueError("every vertex group must have rank 1")
 
 
-def _edge_scalar(mat) -> int:
-    return mat.entries[0][0]
-
-
 def build_reachability_instance(
     pres: AdaptedPresentation, m: int, vertex: str, n: int, target_vertex: str
 ) -> ReachabilityInstance:
@@ -144,10 +140,12 @@ def build_reachability_instance(
         raise ValueError("exponents must be nonzero")
     pres.graph.vertex(vertex)
     pres.graph.vertex(target_vertex)
-    scalars = [(_edge_scalar(e.inj_initial), _edge_scalar(e.inj_terminal)) for e in pres.graph.edges]
+    # a rank-0 edge group is trivial, so no nontrivial power crosses it
+    edges = [e for e in pres.graph.edges if e.rank]
+    scalars = [(e.inj_initial.entries[0][0], e.inj_terminal.entries[0][0]) for e in edges]
     base = _coprime_base([m, n, *(x for pair in scalars for x in pair)])
     transitions = []
-    for e, (sigma, tau) in zip(pres.graph.edges, scalars):
+    for e, (sigma, tau) in zip(edges, scalars):
         guard = _valuation(sigma, base)
         delta = tuple(i - g for i, g in zip(_valuation(tau, base), guard))
         transitions.append(VASTransition(e.id, guard, delta, sigma * tau < 0, e.frm, e.to))

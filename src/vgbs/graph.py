@@ -233,7 +233,7 @@ def validate_graph(graph: VGBSGraph) -> ValidationReport:
 
 
 class _EdgeData:
-    """Per-oriented-edge solver: image lattice, exact preimages, transport.
+    """Per-oriented-edge solver: image lattice and transport.
 
     inj_initial is injective, so its column Hermite form is inj_initial·U
     with U unimodular and no zero column: that is the image basis, and
@@ -246,10 +246,6 @@ class _EdgeData:
         self.image = Lattice(edge.inj_initial.rows, H)
         # carries image coordinates across: t(e)·s(H·q)·t(ē) = s(across·q)
         self.across = edge.inj_terminal.mul(self.unimodular)
-
-    def preimage(self, x: Sequence[int]) -> IntVec | None:
-        q = self.image.member_coords(x)
-        return None if q is None else self.unimodular.mul_vec(q)
 
     def split_across(self, c: Sequence[int]) -> tuple[IntVec, IntVec | None]:
         """(r, moved) with c = r + basis·q and r canonical: moved = across·q

@@ -301,16 +301,10 @@ class Lattice:
 
 
 def intersect_lattices(a: Lattice, b: Lattice) -> Lattice:
-    """Intersection, via the kernel of [basis_a | -basis_b]."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    stacked = a.basis.hstack(b.basis.scale(-1))
-    kernel = integer_kernel(stacked)
-    gens = []
-    for j in range(kernel.cols):
-        x = kernel.column(j)[: a.basis.cols]
-        gens.append(a.basis.mul_vec(x))
-    return Lattice.from_generators(a.ambient_dim, gens)
+    """Intersection: the image under a's basis of the coordinates k with
+    basis_a·k in b (affine_preimage)."""
+    pre = affine_preimage(zero_vec(a.ambient_dim), a.basis, b)
+    return image_lattice(a.basis, pre.lattice)
 
 
 def saturate_lattice(lat: Lattice) -> Lattice:
@@ -397,20 +391,12 @@ class AffineLattice:
 
 
 def intersect_affine(a: AffineLattice, b: AffineLattice) -> AffineLattice | None:
-    """Intersection of two cosets; None when they are disjoint."""
+    """Intersection of two cosets, None when they are disjoint: the image
+    of the coordinates k with a.base + basis_a·k in b (affine_preimage)."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    stacked = a.lattice.basis.hstack(b.lattice.basis.scale(-1))
-    sols = solve_linear_system_integer(stacked, sub_vec(b.base, a.base))
-    if sols is None:
-        return None
-    na = a.lattice.basis.cols
-    base = add_vec(a.base, a.lattice.basis.mul_vec(sols.base[:na]))
-    gens = []
-    kb = sols.lattice.basis
-    for j in range(kb.cols):
-        gens.append(a.lattice.basis.mul_vec(kb.column(j)[:na]))
-    return AffineLattice(base, Lattice.from_generators(a.ambient_dim, gens))
+    pre = affine_preimage(sub_vec(a.base, b.base), a.lattice.basis, b.lattice)
+    return None if pre is None else pre.image(a.base, a.lattice.basis)
 
 
 def affine_preimage(

@@ -46,6 +46,7 @@ from .tree import (
     HYPERBOLIC,
     TreePath,
     TreeVertex,
+    _transport_walk,
     axis_offset,
     axis_period,
     char_distance,
@@ -122,9 +123,7 @@ def compute_modulus(
     rank = pres.vertex_rank(basepoint.rep)
 
     def walk(x: IntVec) -> IntVec:
-        for e in period.edges:
-            x = pres.transport_across(e, x)
-        return x
+        return _transport_walk(pres, period.edges, x)[1]
 
     # x fixes the path to h^-1 basepoint iff each partial walk stays in
     # the next edge image: pull that back from the last edge.
@@ -171,11 +170,10 @@ def _ray(pres: AdaptedPresentation, period_edges: Sequence[Edge], coords: IntVec
                 return None
             grown = Lattice.from_generators(len(coords), orbit.basis.columns() + [coords])
             orbit = grown if grown.rank > orbit.rank else None
-        for e in period_edges:
-            coords = pres.transport_across(e, coords)
-            if coords is None:
-                return fixed
-            fixed += 1
+        steps, coords = _transport_walk(pres, period_edges, coords)
+        fixed += steps
+        if coords is None:
+            return fixed
 
 
 def halfline_fixation(

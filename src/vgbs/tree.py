@@ -5,10 +5,10 @@ the base vertex as (edge, term) steps with canonical terms (TreeVertex).
 Equal vertices are equal values, and the geodesic between two vertices
 is read off the longest common prefix of their normal forms, so paths
 and distances need no word problem.  translate reduces only the word it
-applies, and how far an elliptic element stays fixed along a walk
-follows edge transports of its stabilizer coordinates (fixed_prefix);
-stabilizer questions (stabilizer_coords) are the ones left to the word
-problem.
+applies, and stabilizer coordinates (stabilizer_coords) are the term s
+it carries past x's steps, g·carrier(x) = carrier(g·x)·s.  How far an
+elliptic element stays fixed along a walk follows edge transports of
+those coordinates (the transport walk, _transport_walk).
 
 Projections onto a characteristic space (the fixed subtree or the axis
 of w) come from one translate: the group acts without inversions, so
@@ -30,10 +30,7 @@ from .words import (
     StableSyllable,
     VertexSyllable,
     Word,
-    concat,
     conjugate,
-    express_in_vertex,
-    invert_word,
     reduced_form,
     vertex_word,
     word_power,
@@ -122,13 +119,19 @@ def base_vertex(pres: AdaptedPresentation) -> TreeVertex:
 
 
 def translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> TreeVertex:
-    """g·x in normal form: the reduced loop form of g joined to x's steps.
+    """g·x in normal form."""
+    return _translate(pres, g, x)[0]
+
+
+def _translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> tuple[TreeVertex, IntVec]:
+    """(g·x, s) with g·carrier(x) = carrier(g·x)·s and s in the group at
+    x.rep: the reduced loop form of g joined to x's steps.
 
     Both sides are reduced, so backtracking pairs cancel only at the
     junction.  Then each term c is split over its edge image, c = r +
     basis·q, and c·t(ē) = r·t(ē)·s(across·q) moves q into the next term;
-    once q is 0 inside x's steps, the rest of them stand as they are.
-    The last term fixes the vertex and is dropped.
+    once q is 0 inside x's steps, the rest of them stand as they are and
+    s is 0.  Otherwise s is the last term, which fixes the vertex.
     """
     steps = x.steps
     zero = zero_vec(pres.vertex_rank(x.rep))
@@ -160,15 +163,15 @@ def translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> TreeVertex:
         r, moved = pres.edge_data(e).split_across(carry)
         out.append((e, r))
         if moved is None:
-            return TreeVertex(tuple(out) + steps[k + 1 :], x.rep)
+            return TreeVertex(tuple(out) + steps[k + 1 :], x.rep), zero
         carry = add_vec(term(k + 1), moved)
-    return TreeVertex(tuple(out), x.rep)
+    return TreeVertex(tuple(out), x.rep), carry
 
 
 def stabilizer_coords(pres: AdaptedPresentation, x: TreeVertex, w: Word) -> IntVec | None:
-    """Coordinates of w in the stabilizer of x, or None if w does not fix x."""
-    moved = concat(invert_word(pres, x.carrier), w, x.carrier)
-    return express_in_vertex(pres, moved, x.rep)
+    """Coordinates of w in the stabilizer of x, read off _translate; None if w does not fix x."""
+    y, s = _translate(pres, w, x)
+    return s if y == x else None
 
 
 def stabilizer_element(pres: AdaptedPresentation, x: TreeVertex, vec: Sequence[int]) -> Word:
@@ -202,11 +205,14 @@ def translation_profile(pres: AdaptedPresentation, w: Word) -> TranslationProfil
         return cached
     ws = word_simplify(pres, w)
     x0 = base_vertex(pres)
-    first = tree_path(pres, x0, translate(pres, ws, x0))
+    image, s = _translate(pres, ws, x0)
+    first = tree_path(pres, x0, image)
     mid = first.vertex(first.length // 2)
-    length = distance(pres, mid, translate(pres, ws, mid)) if first.length else 0
+    if first.length:
+        image, s = _translate(pres, ws, mid)
+    length = distance(pres, mid, image)
     if length == 0:
-        profile = TranslationProfile(0, ELLIPTIC, mid, None, stabilizer_coords(pres, mid, ws))
+        profile = TranslationProfile(0, ELLIPTIC, mid, None, s)
     else:
         offset = (first.length - length) // 2
         profile = TranslationProfile(
@@ -254,9 +260,12 @@ def period_vertex(pres: AdaptedPresentation, h: Word, span: TreePath, k: int) ->
     return translate(pres, word_power(pres, h, n), span.vertex(r))
 
 
-def fixed_prefix(pres: AdaptedPresentation, edges: Iterable[Edge], coords: IntVec) -> int:
+def _transport_walk(
+    pres: AdaptedPresentation, edges: Iterable[Edge], coords: IntVec
+) -> tuple[int, IntVec | None]:
     """How many steps of a walk along the oriented graph edges an elliptic
-    element fixes, given its stabilizer coordinates at the start.
+    element fixes, given its stabilizer coordinates at the start, and its
+    coordinates at the end (None when it does not fix the whole walk).
 
     Crossing e conjugates by a stable letter, t(e)·s(x)·t(ē) =
     s(transport_across(e, x)), and vertex groups are abelian, so no word
@@ -268,7 +277,7 @@ def fixed_prefix(pres: AdaptedPresentation, edges: Iterable[Edge], coords: IntVe
         if coords is None:
             break
         fixed += 1
-    return fixed
+    return fixed, coords
 
 
 def axis_offset(pres: AdaptedPresentation, h: Word, x: TreeVertex, y: TreeVertex) -> int:

@@ -73,6 +73,14 @@ def f2() -> VGBSGraph:
     )
 
 
+def free_product() -> VGBSGraph:
+    """Z∗Z: two rank-1 vertices joined by an edge with trivial edge group."""
+    empty = _m([[]], 0)
+    fwd = Edge("e1", "v0", "v1", 0, empty, empty, "e1bar")
+    bwd = Edge("e1bar", "v1", "v0", 0, empty, empty, "e1")
+    return VGBSGraph((Vertex("v0", 1), Vertex("v1", 1)), (fwd, bwd))
+
+
 def z4f2() -> VGBSGraph:
     ident = IntMatrix.identity(4)
     shear = _m([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 4)

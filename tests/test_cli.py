@@ -12,10 +12,10 @@ from time import perf_counter
 import pytest
 
 from vgbs.cli import parse_word, parse_word_list, render_word, run_command
-from vgbs.graph import graph_to_dict
+from vgbs.graph import build_presentation, graph_to_dict
 from vgbs.words import Word, concat, invert_word, is_trivial
 
-from fixtures import ALL_GRAPHS, MERSENNE_61, bs, presentation, random_word
+from fixtures import ALL_GRAPHS, MERSENNE_61, bs, free_product, presentation, random_word
 
 
 @pytest.fixture
@@ -261,6 +261,23 @@ def test_conjugate_elliptic_rank_one(graph_file, capsys):
     code, out = run(capsys, "conjugate", graph_file("bs23"), "[xv0(2)]", "[xv0(3)]")
     assert code == 0
     assert out == {"kind": "conjugate", "witness": "te1"}
+
+
+def test_conjugate_across_a_rank_zero_edge(tmp_path, capsys):
+    # Z∗Z, whose one edge group is trivial: elliptic queries over it are
+    # decided, not reported as internal errors
+    graph = free_product()
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(graph_to_dict(graph)))
+    code, out = run(capsys, "conjugate", str(path), "[xv0(3)]", "[xv1(-2) xv0(3) xv1(2)]")
+    assert code == 0 and out["kind"] == "conjugate"
+    pres = build_presentation(graph)
+    g = parse_word(out["witness"], graph)
+    moved = concat(g, parse_word("xv0(3)", graph), invert_word(pres, g))
+    target = parse_word("xv1(-2) xv0(3) xv1(2)", graph)
+    assert is_trivial(pres, concat(moved, invert_word(pres, target)))
+    code, out = run(capsys, "conjugate", str(path), "[xv0(1)]", "[xv1(1)]")
+    assert code == 0 and out["kind"] == "not_conjugate"
 
 
 def test_conjugate_elliptic_unsupported(graph_file, capsys):

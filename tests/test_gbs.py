@@ -47,7 +47,7 @@ from vgbs.graph import Edge, VGBSGraph, Vertex, build_presentation
 from vgbs.linalg import IntMatrix
 from vgbs.tree import translation_profile
 
-from fixtures import MERSENNE_61, a_pow, bs, presentation, t_pow
+from fixtures import MERSENNE_61, a_pow, bs, free_product, presentation, t_pow
 
 PRIME_1E12 = 999_999_999_989
 
@@ -297,6 +297,20 @@ def test_gbs_multi_amalgam_crossing():
     assert isinstance(squares, Conjugate)
     assert is_trivial(p, squares.witness)
     assert isinstance(gbs_multi_conjugate(p, (a_pow(1),), (b,)), NotConjugate)
+
+
+def test_rank_zero_edge_carries_no_power():
+    # Z∗Z: the trivial edge group moves no nontrivial power, so the
+    # instance has no move across it, and a power is conjugate only to
+    # conjugates of itself at its own vertex
+    p = build_presentation(free_product())
+    assert build_reachability_instance(p, 1, "v0", 1, "v1").transitions == ()
+    b = vertex_word("v1", (1,))
+    assert isinstance(multi_conjugate(p, (a_pow(1),), (b,)), NotConjugate)
+    target = conjugate(p, a_pow(3), vertex_word("v1", (-2,)))
+    ans = multi_conjugate(p, (a_pow(3),), (target,))
+    assert isinstance(ans, Conjugate)
+    assert words_equal(p, conjugate(p, a_pow(3), ans.witness), target)
 
 
 def test_gbs_multi_identity_coordinates():

@@ -143,6 +143,33 @@ def test_stabilizer_coords(bs12p):
     assert is_trivial(bs12p, concat(back, a_pow(-6)))
 
 
+@pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
+def test_stabilizer_coords_match_word_problem(name):
+    # reference: carrier(x)⁻¹·w·carrier(x) expressed in the group at x.rep
+    # by Britton reduction, for x on random geodesics and w a random word,
+    # a stabilizer element of x, or a stabilizer element times a word
+    pres = presentation(name)
+    rng = random.Random(1313)
+    v0 = base_vertex(pres)
+    outcomes = set()
+    for _ in range(150):
+        g = random_word(rng, pres, rng.randint(0, 6))
+        path = tree_path(pres, v0, translate(pres, g, v0))
+        x = path.vertex(rng.randint(0, path.length))
+        if rng.random() < 0.4:
+            w = random_word(rng, pres, rng.randint(0, 6))
+        else:
+            vec = [rng.randint(-3, 3) for _ in range(pres.vertex_rank(x.rep))]
+            w = stabilizer_element(pres, x, vec)
+            if rng.random() < 0.3:
+                w = concat(w, random_word(rng, pres, rng.randint(1, 3)))
+        moved = concat(invert_word(pres, x.carrier), w, x.carrier)
+        expected = express_in_vertex(pres, moved, x.rep)
+        assert stabilizer_coords(pres, x, w) == expected
+        outcomes.add(expected is not None)
+    assert outcomes == ({True} if name == "z2" else {True, False})
+
+
 def test_translation_profiles(bs12p):
     prof = translation_profile(bs12p, a_pow(1))
     assert prof.kind == ELLIPTIC and prof.length == 0
