@@ -115,6 +115,8 @@ def parse_word_list(text: str, graph: VGBSGraph) -> tuple[Word, ...]:
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise InputError("word list must be wrapped in [ ]")
+    if not body[1:-1].strip():
+        return ()
     items: list[str] = []
     current: list[str] = []
     depth = 0
@@ -129,7 +131,7 @@ def parse_word_list(text: str, graph: VGBSGraph) -> tuple[Word, ...]:
         else:
             current.append(ch)
     items.append("".join(current))
-    return tuple(parse_word(item, graph) for item in items if item.strip())
+    return tuple(parse_word(item, graph) for item in items)
 
 
 def _vertex_payload(x: TreeVertex) -> dict:

@@ -4,9 +4,10 @@ Tree vertices are cosets g·ṽ, stored as normal forms: the geodesic from
 the base vertex as (edge, term) steps with canonical terms (TreeVertex).
 Equal vertices are equal values, and the geodesic between two vertices
 is read off the longest common prefix of their normal forms, so paths
-and distances need no word problem.  translate reduces only the word it
-applies, and stabilizer coordinates (stabilizer_coords) are the term s
-it carries past x's steps, g·carrier(x) = carrier(g·x)·s.  How far an
+and distances need no word problem.  translate runs the reduction's
+Britton step (words._pinch) on into x's steps, and stabilizer
+coordinates (stabilizer_coords) are the term s it carries past them,
+g·carrier(x) = carrier(g·x)·s.  How far an
 elliptic element stays fixed along a walk follows edge transports of
 those coordinates (the transport walk, _transport_walk).
 
@@ -30,8 +31,9 @@ from .words import (
     StableSyllable,
     VertexSyllable,
     Word,
+    _pinch,
+    _reduce,
     conjugate,
-    reduced_form,
     vertex_word,
     word_power,
     word_simplify,
@@ -128,10 +130,11 @@ def _translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> tuple[TreeV
     x.rep: the reduced loop form of g joined to x's steps.
 
     Both sides are reduced, so backtracking pairs cancel only at the
-    junction.  Then each term c is split over its edge image, c = r +
-    basis·q, and c·t(ē) = r·t(ē)·s(across·q) moves q into the next term;
-    once q is 0 inside x's steps, the rest of them stand as they are and
-    s is 0.  Otherwise s is the last term, which fixes the vertex.
+    junction, where _pinch runs the reduction on into x's steps.  Then
+    each term c is split over its edge image, c = r + basis·q, and
+    c·t(ē) = r·t(ē)·s(across·q) moves q into the next term; once q is 0
+    inside x's steps, the rest of them stand as they are and s is 0.
+    Otherwise s is the last term, which fixes the vertex.
     """
     steps = x.steps
     zero = zero_vec(pres.vertex_rank(x.rep))
@@ -139,18 +142,12 @@ def _translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> tuple[TreeV
     def term(k: int) -> IntVec:
         return steps[k][1] if k < len(steps) else zero
 
-    pf = reduced_form(pres, g)
-    edges, terms = list(pf.edges), list(pf.terms)
+    edges, terms = _reduce(pres, g, pres.base, pres.base)
     terms[-1] = add_vec(terms[-1], term(0))
     kept = 0
-    while kept < len(steps) and edges and edges[-1].reverse == steps[kept][0].id:
-        moved = pres.transport_across(steps[kept][0], terms[-1])
-        if moved is None:
-            break
-        edges.pop()
-        terms.pop()
+    while kept < len(steps) and _pinch(pres, edges, terms, steps[kept][0]):
         kept += 1
-        terms[-1] = add_vec(add_vec(terms[-1], moved), term(kept))
+        terms[-1] = add_vec(terms[-1], term(kept))
 
     out: list[tuple[Edge, IntVec]] = []
     carry = terms[0]

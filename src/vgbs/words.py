@@ -15,12 +15,17 @@ inj_initial preimage.  A path form is reduced when no backtracking pair
 e, ē encloses a middle term inside the relevant edge-group image; reduced
 forms of a fixed element all have the same walk, and only the empty walk
 with a zero term represents the identity.
+
+Reduction is one stack pass (Britton's lemma; Lyndon–Schupp, §IV.2):
+every step of the walk of w through spanning-tree detours is pinched
+against the stack as it arrives (_pinch), and tree._translate runs the
+same step on into the steps of a tree vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import AdaptedPresentation, Edge
 from .linalg import IntVec, add_vec, is_zero_vec, neg_vec, zero_vec
@@ -122,24 +127,6 @@ def word_simplify(pres: AdaptedPresentation, w: Word) -> Word:
     return Word(tuple(stack))
 
 
-def validate_word(pres: AdaptedPresentation, w: Word) -> None:
-    for s in w.syllables:
-        if isinstance(s, VertexSyllable):
-            try:
-                rank = pres.vertex_rank(s.vertex)
-            except KeyError:
-                raise ValueError(f"word uses unknown vertex {s.vertex!r}") from None
-            if len(s.vec) != rank:
-                raise ValueError(
-                    f"syllable at {s.vertex!r} has {len(s.vec)} coordinates, expected {rank}"
-                )
-        else:
-            try:
-                pres.graph.edge(s.edge)
-            except KeyError:
-                raise ValueError(f"word uses unknown edge {s.edge!r}") from None
-
-
 @dataclass(frozen=True)
 class PathForm:
     """Walk through the graph with a vertex-group term at every stop.
@@ -160,14 +147,6 @@ class PathForm:
     def length(self) -> int:
         return len(self.edges)
 
-    @property
-    def start(self) -> str:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> str:
-        return self.vertices[-1]
-
 
 def path_form_word(pres: AdaptedPresentation, pf: PathForm) -> Word:
     """Rewrite a path form as a word (letters of the reversed steps)."""
@@ -180,72 +159,45 @@ def path_form_word(pres: AdaptedPresentation, pf: PathForm) -> Word:
     return Word(tuple(syllables))
 
 
-def _walk_route(pres: AdaptedPresentation, edges: Iterable[Edge], verts, steps, terms):
-    for e in edges:
-        steps.append(e)
-        verts.append(e.to)
-        terms.append(zero_vec(pres.vertex_rank(e.to)))
+def _pinch(pres: AdaptedPresentation, steps: list[Edge], terms: list[IntVec], e: Edge) -> bool:
+    """Britton's step: if e backtracks the last step around a term in its
+    edge image, cancel the pair, carry the term across and return True."""
+    if not steps or steps[-1].reverse != e.id:
+        return False
+    moved = pres.transport_across(e, terms[-1])
+    if moved is None:
+        return False
+    steps.pop()
+    terms.pop()
+    terms[-1] = add_vec(terms[-1], moved)
+    return True
 
 
-def to_path_form(
-    pres: AdaptedPresentation, w: Word, base: str | None = None, end: str | None = None
-) -> PathForm:
-    """Unreduced path form of w from base to end, via spanning-tree detours.
-
-    Tree letters are the identity, so threading every syllable through the
-    tree keeps the element equal to w while making the walk explicit.
-    """
-    if base is None:
-        base = pres.base
-    if end is None:
-        end = base
-    verts: list[str] = [base]
+def _reduce(
+    pres: AdaptedPresentation, w: Word, base: str, end: str
+) -> tuple[list[Edge], list[IntVec]]:
+    """Steps and terms of the reduced path form of w from base to end.
+    Tree letters are the identity, so w's walk through spanning-tree
+    detours is w itself; each step is pinched as it arrives."""
     steps: list[Edge] = []
     terms: list[IntVec] = [zero_vec(pres.vertex_rank(base))]
-    for s in w.syllables:
-        if isinstance(s, VertexSyllable):
-            _walk_route(pres, pres.tree_route(verts[-1], s.vertex), verts, steps, terms)
-            terms[-1] = add_vec(terms[-1], s.vec)
+    for s in (*w.syllables, None):
+        here = steps[-1].to if steps else base
+        if s is None:
+            route = pres.tree_route(here, end)
+        elif isinstance(s, VertexSyllable):
+            route = pres.tree_route(here, s.vertex)
         else:
             e = pres.graph.edge(s.edge)
             # the letter of e crosses ē, entering at to(e) and leaving at frm(e)
-            _walk_route(pres, pres.tree_route(verts[-1], e.to), verts, steps, terms)
-            rev = pres.reverse(e)
-            steps.append(rev)
-            verts.append(rev.to)
-            terms.append(zero_vec(pres.vertex_rank(rev.to)))
-    _walk_route(pres, pres.tree_route(verts[-1], end), verts, steps, terms)
-    return PathForm(tuple(verts), tuple(steps), tuple(terms))
-
-
-def reduce_path_form(pres: AdaptedPresentation, pf: PathForm) -> PathForm:
-    """Britton reduction: repeatedly collapse backtracking pairs whose
-    middle term lies in the edge-group image, transporting the term across.
-    One stack pass; the stack never contains a pinchable pair."""
-    verts: list[str] = [pf.vertices[0]]
-    steps: list[Edge] = []
-    terms: list[IntVec] = [pf.terms[0]]
-    for e, c_after in zip(pf.edges, pf.terms[1:]):
-        if steps and steps[-1].reverse == e.id:
-            transported = pres.transport_across(e, terms[-1])
-            if transported is not None:
-                steps.pop()
-                verts.pop()
-                terms.pop()
-                terms[-1] = add_vec(add_vec(terms[-1], transported), c_after)
-                continue
-        steps.append(e)
-        verts.append(e.to)
-        terms.append(c_after)
-    return PathForm(tuple(verts), tuple(steps), tuple(terms))
-
-
-def is_reduced(pres: AdaptedPresentation, pf: PathForm) -> bool:
-    for i in range(pf.length - 1):
-        if pf.edges[i].reverse == pf.edges[i + 1].id:
-            if pres.transport_across(pf.edges[i + 1], pf.terms[i + 1]) is not None:
-                return False
-    return True
+            route = pres.tree_route(here, e.to) + (pres.reverse(e),)
+        for e in route:
+            if not _pinch(pres, steps, terms, e):
+                steps.append(e)
+                terms.append(zero_vec(pres.vertex_rank(e.to)))
+        if isinstance(s, VertexSyllable):
+            terms[-1] = add_vec(terms[-1], s.vec)
+    return steps, terms
 
 
 def reduced_form(
@@ -253,11 +205,10 @@ def reduced_form(
 ) -> PathForm:
     """Reduced path form of w from base to end (both default to the
     presentation base)."""
-    if base is None:
-        base = pres.base
-    if end is None:
-        end = base
-    return reduce_path_form(pres, to_path_form(pres, w, base, end))
+    base = pres.base if base is None else base
+    end = base if end is None else end
+    steps, terms = _reduce(pres, w, base, end)
+    return PathForm((base, *(e.to for e in steps)), tuple(steps), tuple(terms))
 
 
 def is_trivial(pres: AdaptedPresentation, w: Word) -> bool:

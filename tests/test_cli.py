@@ -7,6 +7,9 @@ nothing here is derived from the CLI's own output.
 
 import json
 import random
+import re
+import shlex
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -58,6 +61,15 @@ def test_parse_word_list_splits_on_top_level_commas():
     assert len(words) == 2
     assert words[1].syllables[0].vertex == "v1"
     assert parse_word_list("[]", graph) == ()
+
+
+def test_parse_word_list_keeps_empty_items_as_identity():
+    graph = ALL_GRAPHS["bs12"]()
+    te1 = parse_word("te1", graph)
+    assert parse_word_list("[, te1]", graph) == (Word(()), te1)
+    assert parse_word_list("[te1, ]", graph) == (te1, Word(()))
+    assert parse_word_list("[ , ]", graph) == (Word(()), Word(()))
+    assert parse_word_list("[ ]", graph) == ()
 
 
 def test_round_trip_over_all_fixtures():
@@ -354,6 +366,12 @@ def test_conjugate_empty_lists_are_an_input_error(graph_file, capsys):
     assert code == 1 and out["kind"] == "error"
 
 
+def test_conjugate_keeps_identity_items(graph_file, capsys):
+    # (1, t) and (t, 1) are not conjugate: conjugation fixes the identity
+    code, out = run(capsys, "conjugate", graph_file("bs12"), "[, te1]", "[te1, ]")
+    assert code == 0 and out["kind"] == "not_conjugate"
+
+
 # ------------------------------------------------------------ error paths
 
 
@@ -410,3 +428,22 @@ def test_base_vertex_flag(graph_file, capsys):
     assert out == {"kind": "trivial", "value": True}
     code, out = run(capsys, "validate", path, "--base-vertex", "nope")
     assert code == 1 and out["kind"] == "error"
+
+
+# ----------------------------------------------------------------- README
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run_as_printed(graph_file, capsys):
+    text = README.read_text(encoding="utf-8")
+    library = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(library, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "te1\n"
+    examples = re.findall(r"^\$ (vgbs .*)\n(.*)$", text, re.M)
+    assert len(examples) >= 2
+    for command, printed in examples:
+        argv = shlex.split(command)[1:]
+        argv[1] = graph_file(Path(argv[1]).stem)
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out == printed + "\n"
