@@ -38,7 +38,7 @@ from .graph import (
     build_presentation,
     graph_from_dict,
 )
-from .linalg import InternalError
+from .linalg import InternalError, Lattice
 from .modulus import Empty, Finite, NegativeHalfLine, PositiveHalfLine, classify_intersection
 from .tree import ELLIPTIC, TreeVertex, stabilizer_element, translation_profile
 from .words import (
@@ -151,8 +151,14 @@ def _load(path: str, base: str | None) -> tuple[VGBSGraph, AdaptedPresentation]:
     return graph, build_presentation(graph, base)
 
 
-def _cmd_validate(args) -> tuple[dict, int]:
-    graph, _ = _load(args.graph, args.base_vertex)
+def _generators(pres: AdaptedPresentation, basepoint: TreeVertex, lattice: Lattice) -> list[str]:
+    return [
+        render_word(stabilizer_element(pres, basepoint, lattice.basis.column(j)))
+        for j in range(lattice.rank)
+    ]
+
+
+def _cmd_validate(args, graph, pres) -> tuple[dict, int]:
     return {
         "kind": "valid",
         "vertices": len(graph.vertices),
@@ -160,22 +166,19 @@ def _cmd_validate(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_reduce(args) -> tuple[dict, int]:
-    graph, pres = _load(args.graph, args.base_vertex)
+def _cmd_reduce(args, graph, pres) -> tuple[dict, int]:
     w = parse_word(args.word, graph)
     pf = reduced_form(pres, word_simplify(pres, w))
     reduced = word_simplify(pres, path_form_word(pres, pf))
     return {"kind": "reduced", "word": render_word(reduced), "letters": pf.length}, 0
 
 
-def _cmd_trivial(args) -> tuple[dict, int]:
-    graph, pres = _load(args.graph, args.base_vertex)
+def _cmd_trivial(args, graph, pres) -> tuple[dict, int]:
     w = parse_word(args.word, graph)
     return {"kind": "trivial", "value": is_trivial(pres, w)}, 0
 
 
-def _cmd_length(args) -> tuple[dict, int]:
-    graph, pres = _load(args.graph, args.base_vertex)
+def _cmd_length(args, graph, pres) -> tuple[dict, int]:
     profile = translation_profile(pres, parse_word(args.word, graph))
     return {
         "kind": "length",
@@ -184,23 +187,17 @@ def _cmd_length(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_centralizer(args) -> tuple[dict, int]:
-    graph, pres = _load(args.graph, args.base_vertex)
+def _cmd_centralizer(args, graph, pres) -> tuple[dict, int]:
     cen = centralizer_hyperbolic(pres, parse_word(args.word, graph))
-    gens = [
-        render_word(stabilizer_element(pres, cen.basepoint, cen.elliptic.basis.column(j)))
-        for j in range(cen.elliptic.rank)
-    ]
     return {
         "kind": "centralizer",
         "basepoint": _vertex_payload(cen.basepoint),
-        "elliptic_generators": gens,
+        "elliptic_generators": _generators(pres, cen.basepoint, cen.elliptic),
         "shift_generator": render_word(cen.shift_generator),
     }, 0
 
 
-def _cmd_axis(args) -> tuple[dict, int]:
-    graph, pres = _load(args.graph, args.base_vertex)
+def _cmd_axis(args, graph, pres) -> tuple[dict, int]:
     g = parse_word(args.g, graph)
     h = parse_word(args.h, graph)
     shape = classify_intersection(pres, g, h)
@@ -220,8 +217,7 @@ def _cmd_axis(args) -> tuple[dict, int]:
     return {"kind": "whole_axis"}, 0
 
 
-def _cmd_conjugate(args) -> tuple[dict, int]:
-    graph, pres = _load(args.graph, args.base_vertex)
+def _cmd_conjugate(args, graph, pres) -> tuple[dict, int]:
     first = parse_word_list(args.first, graph)
     second = parse_word_list(args.second, graph)
     answer = multi_conjugate(pres, first, second, state_budget=args.budget)
@@ -239,17 +235,26 @@ def _cmd_conjugate(args) -> tuple[dict, int]:
         }, 2
     if not isinstance(answer, ReducedToPolycyclic):
         raise InternalError(f"unknown answer type {type(answer).__name__}")
-    gens = [
-        render_word(stabilizer_element(pres, answer.basepoint, answer.elliptic.basis.column(j)))
-        for j in range(answer.elliptic.rank)
-    ]
     return {
         "kind": "reduced_to_polycyclic",
         "pairs": [[render_word(x), render_word(y)] for x, y in answer.pairs],
-        "elliptic_generators": gens,
+        "elliptic_generators": _generators(pres, answer.basepoint, answer.elliptic),
         "shift_generator": render_word(answer.shift_generator),
         "basepoint": _vertex_payload(answer.basepoint),
     }, 2
+
+
+# name -> (help, positional arguments, handler); every subcommand also
+# takes --base-vertex, and conjugate alone takes --budget
+_COMMANDS = {
+    "validate": ("check a graph file", ("graph",), _cmd_validate),
+    "reduce": ("reduced form of a word", ("graph", "word"), _cmd_reduce),
+    "trivial": ("is the word the identity", ("graph", "word"), _cmd_trivial),
+    "length": ("translation length and type", ("graph", "word"), _cmd_length),
+    "centralizer": ("centralizer of a hyperbolic word", ("graph", "word"), _cmd_centralizer),
+    "axis": ("fixed-set trace of g on the axis of h", ("graph", "g", "h"), _cmd_axis),
+    "conjugate": ("tuple conjugacy", ("graph", "first", "second"), _cmd_conjugate),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,61 +264,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--base-vertex", default=None, metavar="ID", help="presentation base vertex"
-    )
     parser = _Parser(prog="vgbs", description="decision queries for vGBS groups")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common], help="check a graph file")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("reduce", parents=[common], help="reduced form of a word")
-    p.add_argument("graph")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser("trivial", parents=[common], help="is the word the identity")
-    p.add_argument("graph")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_trivial)
-
-    p = sub.add_parser("length", parents=[common], help="translation length and type")
-    p.add_argument("graph")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_length)
-
-    p = sub.add_parser(
-        "centralizer", parents=[common], help="centralizer of a hyperbolic word"
-    )
-    p.add_argument("graph")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_centralizer)
-
-    p = sub.add_parser(
-        "axis", parents=[common], help="fixed-set trace of g on the axis of h"
-    )
-    p.add_argument("graph")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.set_defaults(handler=_cmd_axis)
-
-    p = sub.add_parser("conjugate", parents=[common], help="tuple conjugacy")
-    p.add_argument("graph")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--budget", type=int, default=100_000, metavar="N",
-                   help="state budget for the reachability search")
-    p.set_defaults(handler=_cmd_conjugate)
+    for name, (help_text, positionals, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.add_argument(
+            "--base-vertex", default=None, metavar="ID", help="presentation base vertex"
+        )
+        if name == "conjugate":
+            p.add_argument("--budget", type=int, default=100_000, metavar="N",
+                           help="state budget for the reachability search")
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run_command(argv: list[str]) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        payload, code = args.handler(args)
+        graph, pres = _load(args.graph, args.base_vertex)
+        payload, code = args.handler(args, graph, pres)
     except (InputError, ValueError) as exc:
         payload, code = {"kind": "error", "message": str(exc)}, 1
     except Exception as exc:

@@ -236,13 +236,6 @@ def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
     return Centralizer(w0, lattice, shift)
 
 
-def _assemble(items: tuple[Word, ...], indices: tuple[int, ...]) -> Word:
-    if len(indices) == 1:
-        return items[indices[0]]
-    i, j = indices
-    return concat(items[i], items[j])
-
-
 def multi_conjugate(
     pres: AdaptedPresentation,
     first: tuple[Word, ...],
@@ -274,6 +267,8 @@ def _multi_conjugate(
 ) -> ConjugacyAnswer:
     if not first or len(first) != len(second):
         raise ValueError("tuples must be nonempty and of equal length")
+    if state_budget < 1:
+        raise ValueError("state budget must be positive")
     if all(words_equal(pres, x, y) for x, y in zip(first, second)):
         return Conjugate(Word.identity())
 
@@ -289,7 +284,7 @@ def _multi_conjugate(
         return gbs_multi_conjugate(pres, first, second, state_budget=state_budget)
 
     anchor = found.word
-    counterpart = word_simplify(pres, _assemble(second, found.indices))
+    counterpart = word_simplify(pres, concat(*(second[i] for i in found.indices)))
     if translation_profile(pres, counterpart).kind != HYPERBOLIC:
         return NotConjugate("matching product of the second tuple is not hyperbolic")
     aligned = conjugate_hyperbolic(pres, anchor, counterpart)

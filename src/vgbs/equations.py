@@ -8,9 +8,12 @@ module computes it exactly, in integers.
 
 The method: conjugate each base into the vertex group it fixes, so the
 equation becomes one symbolic loop at the base vertex whose terms are
-integer affine functions of k.  A loop is trivial exactly when some
-backtracking pair pinches, so the solver branches over the backtracking
-positions.  Its state is the affine lattice D of the k still allowed,
+integer affine functions of k.  Between two bases the loop runs through
+one constant word, which the word problem's Britton pass reduces
+(words.reduced_form), so the only pairs left to pinch sit around a
+base's term.  A loop is trivial exactly when some backtracking pair
+pinches, so the solver branches over the backtracking positions.  Its
+state is the affine lattice D of the k still allowed,
 k = D.base + D.basis·z, with every term written in the coordinates z.
 A pinch asks for the middle term to lie in the edge image: that is an
 integer preimage in z, D shrinks to its image, every term is rewritten
@@ -107,9 +110,6 @@ class AffineVec:
     def evaluate(self, z: Sequence[int]) -> IntVec:
         return add_vec(self.const, self.coeff.mul_vec(z))
 
-    def is_constant(self) -> bool:
-        return all(x == 0 for row in self.coeff.entries for x in row)
-
 
 @dataclass(frozen=True)
 class SyllableEquation:
@@ -147,57 +147,33 @@ def _symbolic_loop(
     pres: AdaptedPresentation, eq: SyllableEquation
 ) -> tuple[list[Edge], list[AffineVec]]:
     """One walk at the presentation base whose terms are affine in k; the
-    term after step i lives in the vertex group at steps[i].to."""
+    term after step i lives in the vertex group at steps[i].to.  The gap
+    between two bases is one constant word, carrier⁻¹ · connector ·
+    carrier', reduced from the rep of the vertex one base fixes to that of
+    the next; so the only pairs left to pinch sit around a base's term."""
     p = eq.unknowns
-    anchors: list[tuple[TreeVertex, AffineVec]] = []
+    steps: list[Edge] = []
+    terms: list[AffineVec] = [AffineVec.constant((0,) * pres.vertex_rank(pres.base), p)]
+
+    def gap(w: Word, start: str, end: str) -> None:
+        rf = reduced_form(pres, word_simplify(pres, w), base=start, end=end)
+        terms[-1] = terms[-1].add(AffineVec.constant(rf.terms[0], p))
+        for e, term in zip(rf.edges, rf.terms[1:]):
+            steps.append(e)
+            terms.append(AffineVec.constant(term, p))
+
+    rep, back = pres.base, Word.identity()
     for i, base in enumerate(eq.bases):
         profile = translation_profile(pres, base)
         if profile.kind != ELLIPTIC:
             raise ValueError(f"equation base {i} is not elliptic")
-        anchors.append(
-            (profile.fixed, AffineVec.single_unknown(profile.coords, p, eq.sigma[i] - 1))
-        )
-
-    steps: list[Edge] = []
-    terms: list[AffineVec] = [AffineVec.constant((0,) * pres.vertex_rank(pres.base), p)]
-
-    def flush_constant(w: Word, target: str) -> None:
-        start = steps[-1].to if steps else pres.base
-        rf = reduced_form(pres, word_simplify(pres, w), base=start, end=target)
-        terms[-1] = terms[-1].add(AffineVec.constant(rf.terms[0], p))
-        for j, e in enumerate(rf.edges):
-            steps.append(e)
-            terms.append(AffineVec.constant(rf.terms[j + 1], p))
-
-    for i, (fixed, sym) in enumerate(anchors):
-        before = fixed.carrier if i == 0 else concat(eq.connectors[i - 1], fixed.carrier)
-        flush_constant(before, fixed.rep)
-        terms[-1] = terms[-1].add(sym)
-        flush_constant(invert_word(pres, fixed.carrier), pres.base)
+        fixed = profile.fixed
+        between = eq.connectors[i - 1] if i else Word.identity()
+        gap(concat(back, between, fixed.carrier), rep, fixed.rep)
+        terms[-1] = terms[-1].add(AffineVec.single_unknown(profile.coords, p, eq.sigma[i] - 1))
+        rep, back = fixed.rep, invert_word(pres, fixed.carrier)
+    gap(back, rep, pres.base)
     return steps, terms
-
-
-def _prereduce_constants(
-    pres: AdaptedPresentation, steps: list[Edge], terms: list[AffineVec]
-) -> tuple[list[Edge], list[AffineVec]]:
-    """Collapse backtracking pairs whose middle term is constant and inside
-    the edge image: such a pair pinches for every k, so it shrinks the
-    loop without branching."""
-    out_steps: list[Edge] = []
-    out_terms: list[AffineVec] = [terms[0]]
-    for e, after in zip(steps, terms[1:]):
-        if out_steps and out_steps[-1].reverse == e.id and out_terms[-1].is_constant():
-            transported = pres.transport_across(e, out_terms[-1].const)
-            if transported is not None:
-                out_steps.pop()
-                out_terms.pop()
-                out_terms[-1] = (
-                    out_terms[-1].add(AffineVec.constant(transported, after.unknowns)).add(after)
-                )
-                continue
-        out_steps.append(e)
-        out_terms.append(after)
-    return out_steps, out_terms
 
 
 def _solve_loop(
@@ -247,7 +223,6 @@ def _solve_loop(
 def solve_syllable_equation(pres: AdaptedPresentation, eq: SyllableEquation) -> AffineLatticeUnion:
     """Exact solution set in Z^p as a finite union of affine lattices."""
     steps, terms = _symbolic_loop(pres, eq)
-    steps, terms = _prereduce_constants(pres, steps, terms)
     return _solve_loop(pres, tuple(steps), AffineLattice.full(eq.unknowns), tuple(terms), {})
 
 

@@ -232,6 +232,8 @@ def gbs_multi_conjugate(
     second = tuple(second)
     if not first or len(first) != len(second):
         raise ValueError("tuples must be nonempty and of equal length")
+    if state_budget < 1:
+        raise ValueError("state budget must be positive")
     if any(v.rank != 1 for v in pres.graph.vertices):
         return EllipticUnsupported(
             "elliptic tuple conjugacy needs every vertex group to have rank 1"

@@ -277,7 +277,6 @@ class AdaptedPresentation:
     ):
         self.graph = graph
         self.base = base
-        self._tree_edge_into = tree_edge_into
         self._base_paths = base_paths
         tree_ids: set[str] = set()
         for e in tree_edge_into.values():

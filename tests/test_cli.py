@@ -5,6 +5,7 @@ witnesses, and shapes restate facts the engine tests already pin down;
 nothing here is derived from the CLI's own output.
 """
 
+import argparse
 import json
 import random
 import re
@@ -14,7 +15,7 @@ from time import perf_counter
 
 import pytest
 
-from vgbs.cli import parse_word, parse_word_list, render_word, run_command
+from vgbs.cli import _build_parser, parse_word, parse_word_list, render_word, run_command
 from vgbs.graph import build_presentation, graph_to_dict
 from vgbs.words import Word, concat, invert_word, is_trivial
 
@@ -316,6 +317,16 @@ def test_conjugate_budget_flag_reports_inconclusive(graph_file, capsys):
     assert out["explored"] >= 5
 
 
+def test_conjugate_rejects_a_budget_below_one(graph_file, capsys):
+    # a hyperbolic query never reaches the search, but the budget is
+    # still checked
+    path = graph_file("bs12")
+    for budget in ("0", "-3"):
+        code, out = run(capsys, "conjugate", path, "[te1]", "[te1]", "--budget", budget)
+        assert code == 1
+        assert out == {"kind": "error", "message": "state budget must be positive"}
+
+
 def test_conjugate_huge_scalar_refuses_at_budget(tmp_path, capsys):
     # x^(2^61-1)^k for every k >= 0 is conjugate to x, so the search must
     # give up at the budget, and no setup step may stall before it starts.
@@ -392,10 +403,10 @@ def test_usage_errors_exit_one(capsys):
 def test_internal_error_is_reported_as_json(graph_file, capsys, monkeypatch):
     import vgbs.cli
 
-    def broken(args):
+    def broken(pres, w):
         raise RuntimeError("handler fault")
 
-    monkeypatch.setattr(vgbs.cli, "_cmd_trivial", broken)
+    monkeypatch.setattr(vgbs.cli, "is_trivial", broken)
     code, out = run(capsys, "trivial", graph_file("bs12"), "xv0(1)")
     assert code == 3
     assert out == {"kind": "internal_error", "message": "RuntimeError: handler fault"}
@@ -433,6 +444,22 @@ def test_base_vertex_flag(graph_file, capsys):
 # ----------------------------------------------------------------- README
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_lists_every_subcommand_and_the_budget_flag():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", text, re.S).group(1)
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("vgbs ")]
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert listed == list(sub.choices)
+    with_budget = [
+        name
+        for name, p in sub.choices.items()
+        if any("--budget" in a.option_strings for a in p._actions)
+    ]
+    assert with_budget == ["conjugate"]
+    assert [line.split()[1] for line in block.splitlines() if "--budget" in line] == ["conjugate"]
 
 
 def test_readme_examples_run_as_printed(graph_file, capsys):

@@ -149,6 +149,17 @@ def test_reach_budget_exhaustion():
         bounded_reachability(inst, state_budget=0)
 
 
+def test_budget_is_checked_before_any_search():
+    # neither query reaches bounded_reachability: the first is decided
+    # because its tuples are equal, the second by its exponent patterns
+    p = presentation("bs23")
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="state budget must be positive"):
+            multi_conjugate(p, (t_pow(1),), (t_pow(1),), state_budget=budget)
+        with pytest.raises(ValueError, match="state budget must be positive"):
+            gbs_multi_conjugate(p, (a_pow(2), a_pow(4)), (a_pow(3), a_pow(9)), budget)
+
+
 def test_reach_bs12_ladder_and_replay():
     p = presentation("bs12")
     inst = build_reachability_instance(p, 1, "v0", 4, "v0")
