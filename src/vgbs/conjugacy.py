@@ -1,16 +1,20 @@
 """Conjugacy decisions: single hyperbolic elements, centralizers, tuples.
 
-The pipeline for tuples: find a hyperbolic element in the subgroup the
+The pipeline for tuples: find a hyperbolic anchor in the subgroup the
 first tuple generates (an element, or a product of two, or a certificate
-that none exists); align it with its counterpart from the second tuple;
-then search the centralizer of the aligned element.  That centralizer is
-a lattice of axis-fixing vertex elements extended by a minimal-shift
-hyperbolic, so the remaining search splits into a shift (read off from
-axis-intersection offsets) and a lattice intersection: each coordinate
-gives one coset of stabilizer exponents (equations.local_conjugators,
-one integer linear system), and the cosets are intersected.  Tuples
-generating an elliptic subgroup are decidable only over rank-1 vertex
-groups and are delegated to the reachability module.
+that none exists), and its counterpart from the second tuple.  A
+conjugator carries the anchor's axis onto the counterpart's, keeping the
+direction, and each Char xᵢ ∩ axis onto Char yᵢ ∩ axis′, anchor point
+onto anchor point.  One coordinate whose intersection has such a point
+therefore fixes where the start of the anchor's fundamental domain goes,
+and there the conjugators are a stabilizer coset times one mover: each
+coordinate gives one coset of stabilizer exponents
+(equations.local_conjugators, one integer linear system), and the cosets
+are intersected (_align).  When every coordinate fixes the whole axis
+nothing pins the shift, and the anchor's centralizer is returned as
+lattice-by-shift data instead of a decision.  Tuples generating an
+elliptic subgroup are decidable only over rank-1 vertex groups and are
+delegated to the reachability module.
 
 Every conjugator returned is replayed in the word problem first
 (verify_conjugator); a failed replay raises InternalError, also under
@@ -20,16 +24,19 @@ python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .equations import local_conjugators
 from .graph import AdaptedPresentation
 from .linalg import AffineLattice, InternalError, Lattice, intersect_affine
-from .modulus import WholeAxis, classify_intersection, shift_length
+from .modulus import WholeAxis, _shape_anchor, classify_intersection
 from .tree import (
     HYPERBOLIC,
     TreeVertex,
     _transport_walk,
+    axis_offset,
     base_vertex,
+    period_vertex,
     stabilizer_coords,
     stabilizer_element,
     translation_length,
@@ -43,7 +50,6 @@ from .words import (
     conjugate,
     invert_word,
     is_trivial,
-    word_power,
     word_simplify,
     words_equal,
 )
@@ -169,21 +175,29 @@ def _common_fixed_vertex(pres, items) -> TreeVertex:
     return current
 
 
-def _align(pres: AdaptedPresentation, a: Word, b: Word, offsets: range) -> Word | None:
-    """The first conjugator c with c·a·c⁻¹ = b that carries the start v of
-    a's fundamental domain to vertex j of b's, over j in offsets, or None.
-    Those carrying v to vj are s(x)·mover, mover = carrier(vj)·carrier(v)⁻¹
-    and s(x) in the stabilizer of vj: one local_conjugators call each."""
-    v = translation_profile(pres, a).fundamental_domain.start
-    dom = translation_profile(pres, b).fundamental_domain
-    for j in offsets:
-        vj = dom.vertex(j)
-        if vj.rep != v.rep:
+def _align(
+    pres: AdaptedPresentation,
+    first: tuple[Word, ...],
+    second: tuple[Word, ...],
+    v: TreeVertex,
+    targets: Iterable[TreeVertex],
+) -> Word | None:
+    """The first conjugator c with c·xᵢ·c⁻¹ = yᵢ for every pair that
+    carries v to one of the targets, or None.  Those carrying v to T are
+    s(z)·mover, mover = carrier(T)·carrier(v)⁻¹ and s(z) in the stabilizer
+    of T: one local_conjugators coset per pair, intersected."""
+    for target in targets:
+        if target.rep != v.rep:
             continue
-        mover = word_simplify(pres, concat(vj.carrier, invert_word(pres, v.carrier)))
-        sols = local_conjugators(pres, vj, conjugate(pres, a, mover), b)
-        if sols is not None:
-            return word_simplify(pres, concat(stabilizer_element(pres, vj, sols.base), mover))
+        mover = word_simplify(pres, concat(target.carrier, invert_word(pres, v.carrier)))
+        sols: AffineLattice | None = AffineLattice.full(pres.vertex_rank(v.rep))
+        for x, y in zip(first, second):
+            local = local_conjugators(pres, target, conjugate(pres, x, mover), y)
+            sols = None if local is None else intersect_affine(sols, local)
+            if sols is None:
+                break
+        else:
+            return word_simplify(pres, concat(stabilizer_element(pres, target, sols.base), mover))
     return None
 
 
@@ -201,7 +215,8 @@ def conjugate_hyperbolic(pres: AdaptedPresentation, a: Word, b: Word) -> Conjuga
         raise ValueError("both elements must be hyperbolic")
     if pa.length != pb.length:
         return NotConjugate("translation lengths differ")
-    witness = _align(pres, a, b, range(pb.length))
+    targets = map(pb.fundamental_domain.vertex, range(pb.length))
+    witness = _align(pres, (a,), (b,), pa.fundamental_domain.start, targets)
     if witness is None:
         return NotConjugate("no axis alignment conjugates the first element to the second")
     verify_conjugator(pres, witness, (a,), (b,))
@@ -222,7 +237,8 @@ def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
         raise ValueError("centralizers are computed for hyperbolic elements")
     w0 = profile.fundamental_domain.start
     lattice = local_conjugators(pres, w0, h, h).lattice
-    shift = _align(pres, h, h, range(1, profile.length + 1))
+    shifts = map(profile.fundamental_domain.vertex, range(1, profile.length + 1))
+    shift = _align(pres, (h,), (h,), w0, shifts)
     if shift is None:
         raise InternalError("no shift realized, although h realizes its own period")
     if not is_trivial(pres, commutator(pres, shift, h)):
@@ -274,70 +290,54 @@ def _multi_conjugate(
 
     found = find_hyperbolic_in_tuple(pres, first)
     if isinstance(found, EllipticCertificate):
-        if any(v.rank != 1 for v in pres.graph.vertices):
-            return EllipticUnsupported(
-                "the first tuple generates an elliptic subgroup; deciding this "
-                "needs every vertex group to have rank 1"
-            )
         from .gbs import gbs_multi_conjugate
 
         return gbs_multi_conjugate(pres, first, second, state_budget=state_budget)
 
     anchor = found.word
     counterpart = word_simplify(pres, concat(*(second[i] for i in found.indices)))
-    if translation_profile(pres, counterpart).kind != HYPERBOLIC:
-        return NotConjugate("matching product of the second tuple is not hyperbolic")
-    aligned = conjugate_hyperbolic(pres, anchor, counterpart)
-    if isinstance(aligned, NotConjugate):
-        return aligned
-    g0 = aligned.witness
-    g0_inv = invert_word(pres, g0)
-    matched = tuple(word_simplify(pres, concat(g0_inv, y, g0)) for y in second)
+    pa, pb = translation_profile(pres, anchor), translation_profile(pres, counterpart)
+    if pb.kind != HYPERBOLIC or pb.length != pa.length:
+        return NotConjugate("the matching element of the second tuple translates differently")
 
-    # Remaining freedom is the centralizer of the anchor: witness = g0·s(x)·h^m.
-    cen = centralizer_hyperbolic(pres, anchor)
-    shapes: list[tuple[object, object] | None] = []
-    for x, y in zip(first, matched):
+    anchored: list[tuple[object, object]] = []
+    for x, y in zip(first, second):
         if is_trivial(pres, x) or is_trivial(pres, y):
             if is_trivial(pres, x) != is_trivial(pres, y):
                 return NotConjugate("an identity coordinate faces a nontrivial one")
-            shapes.append(None)
             continue
         sx = classify_intersection(pres, x, anchor)
-        sy = classify_intersection(pres, y, anchor)
+        sy = classify_intersection(pres, y, counterpart)
         if type(sx) is not type(sy):
             return NotConjugate("axis intersection kinds differ at a coordinate")
-        shapes.append((sx, sy))
+        if not isinstance(sx, WholeAxis):
+            anchored.append((sx, sy))
 
-    anchored = [p for p in shapes if p is not None and not isinstance(p[0], WholeAxis)]
     if not anchored:
+        aligned = conjugate_hyperbolic(pres, anchor, counterpart)
+        if isinstance(aligned, NotConjugate):
+            return aligned
+        g0, g0_inv = aligned.witness, invert_word(pres, aligned.witness)
+        matched = tuple(word_simplify(pres, concat(g0_inv, y, g0)) for y in second)
+        cen = centralizer_hyperbolic(pres, anchor)
         return ReducedToPolycyclic(
             tuple(zip(first, matched)), cen.elliptic, cen.shift_generator, cen.basepoint
         )
 
-    offsets = {shift_length(pres, anchor, sx, sy) for sx, sy in anchored}
+    # A conjugator carries each anchor point onto its counterpart, so it
+    # carries the start v of the anchor's fundamental domain to the
+    # counterpart's axis vertex at one offset D from the start of its own.
+    v, start_b = pa.fundamental_domain.start, pb.fundamental_domain.start
+    offsets = {
+        axis_offset(pres, counterpart, start_b, _shape_anchor(sy))
+        - axis_offset(pres, anchor, v, _shape_anchor(sx))
+        for sx, sy in anchored
+    }
     if len(offsets) > 1:
         return NotConjugate("coordinates require different shifts along the axis")
-    offset = offsets.pop()
-    step = translation_length(pres, cen.shift_generator)
-    if offset % step:
-        return NotConjugate("required shift is not realizable in the centralizer")
-    power = word_power(pres, cen.shift_generator, offset // step)
-    power_inv = invert_word(pres, power)
-
-    rank = pres.vertex_rank(cen.basepoint.rep)
-    sols = AffineLattice((0,) * rank, cen.elliptic)
-    for x, y in zip(first, matched):
-        if is_trivial(pres, x):
-            continue
-        shifted = word_simplify(pres, concat(power, x, power_inv))
-        local = local_conjugators(pres, cen.basepoint, shifted, y)
-        sols = None if local is None else intersect_affine(sols, local)
-        if sols is None:
-            return NotConjugate("no centralizer element aligns every coordinate")
-
-    witness = word_simplify(
-        pres, concat(g0, stabilizer_element(pres, cen.basepoint, sols.base), power)
-    )
+    target = period_vertex(pres, counterpart, pb.fundamental_domain, offsets.pop())
+    witness = _align(pres, first, second, v, (target,))
+    if witness is None:
+        return NotConjugate("no conjugator carries the axis anchors onto each other")
     verify_conjugator(pres, witness, first, second)
     return Conjugate(witness)

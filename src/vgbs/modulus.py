@@ -47,7 +47,6 @@ from .tree import (
     TreePath,
     TreeVertex,
     _transport_walk,
-    axis_offset,
     axis_period,
     char_distance,
     period_vertex,
@@ -294,21 +293,9 @@ def _shape(pres, along, positive: bool, negative: bool, extent) -> IntersectionS
 
 
 def _shape_anchor(shape: IntersectionShape) -> TreeVertex:
+    """The axis vertex a shape other than the whole axis singles out."""
     if isinstance(shape, Empty):
         return shape.bridge.end
     if isinstance(shape, Finite):
         return shape.segment.start
     return shape.origin
-
-
-def shift_length(
-    pres: AdaptedPresentation, h: Word, first: IntersectionShape, second: IntersectionShape
-) -> int | None:
-    """Signed offset along the h axis between two intersection shapes of
-    the same kind, or None when the kinds differ.  Whole-axis shapes have
-    no distinguished point, so they are rejected."""
-    if type(first) is not type(second):
-        return None
-    if isinstance(first, WholeAxis):
-        raise ValueError("whole-axis intersections carry no offset")
-    return axis_offset(pres, h, _shape_anchor(first), _shape_anchor(second))

@@ -278,13 +278,13 @@ def _transport_walk(
 
 
 def axis_offset(pres: AdaptedPresentation, h: Word, x: TreeVertex, y: TreeVertex) -> int:
-    """Signed offset along the axis of h from x to y; both must be on it."""
-    d = distance(pres, x, y)
-    if d == 0:
+    """Signed offset along the axis of h from x to y; both must be on it.
+    The geodesic between two axis vertices runs along the axis, so its
+    first step tells the sign."""
+    if char_distance(pres, h, y) != 0:
+        raise ValueError("vertices do not share the axis")
+    path = tree_path(pres, x, y)
+    if path.length == 0:
         return 0
-    span = axis_period(pres, h, x, 1)
-    if period_vertex(pres, h, span, d) == y:
-        return d
-    if period_vertex(pres, h, span, -d) == y:
-        return -d
-    raise ValueError("vertices do not share the axis")
+    forward = path.vertex(1) == axis_period(pres, h, x, 1).vertex(1)
+    return path.length if forward else -path.length

@@ -227,15 +227,18 @@ def test_multi_bs12_power_ladder():
     # (t, a) ~ (t, a^k) exactly when k is a power of two: the only
     # conjugators commuting with t are its own powers, and t^m a t^-m
     # is a^(2^m).
+    # The anchor t² needs the same shift 1, below its own period 2.
     p = presentation("bs12")
-    first = (t_pow(1), a_pow(1))
-    for k in range(2, 9):
-        ans = multi_conjugate(p, first, (t_pow(1), a_pow(k)))
-        if k in (2, 4, 8):
-            assert isinstance(ans, Conjugate)
-            _verify(p, ans.witness, first, (t_pow(1), a_pow(k)))
-        else:
-            assert isinstance(ans, NotConjugate)
+    for anchor in (t_pow(1), t_pow(2)):
+        first = (anchor, a_pow(1))
+        for k in range(2, 9):
+            second = (anchor, a_pow(k))
+            ans = multi_conjugate(p, first, second)
+            if k in (2, 4, 8):
+                assert isinstance(ans, Conjugate)
+                _verify(p, ans.witness, first, second)
+            else:
+                assert isinstance(ans, NotConjugate)
 
 
 def test_multi_bs23_shifted_segment():
@@ -301,10 +304,12 @@ def test_multi_rejects_bad_shapes():
 
 def test_multi_recovers_random_conjugations():
     rng = random.Random(23)
-    for _ in range(25):
-        name = rng.choice(["bs12", "bs23", "amalg"])
+    # neither coordinate of the amalg pair is hyperbolic: the anchor is their product
+    pair = (vertex_word("v0", (1,)), vertex_word("v1", (1,)))
+    for i in range(35):
+        name = rng.choice(["bs12", "bs23", "amalg"]) if i < 25 else "amalg"
         pres = presentation(name)
-        first = mixed_tuple(name, pres, rng)
+        first = mixed_tuple(name, pres, rng) if i < 25 else pair
         g = random_word(rng, pres, rng.randint(1, 4))
         second = tuple(
             word_simplify(pres, conjugate(pres, x, g)) for x in first
@@ -312,6 +317,34 @@ def test_multi_recovers_random_conjugations():
         ans = multi_conjugate(pres, first, second)
         assert isinstance(ans, Conjugate)
         _verify(pres, ans.witness, first, second)
+
+
+def test_multi_anchored_tuple_aligns_once(monkeypatch):
+    # One coordinate pins the axis alignment, so the conjugator is solved
+    # at one vertex: one local coset per coordinate, no scans.
+    def refuse(*args):
+        raise AssertionError("scan called on an anchored tuple")
+
+    monkeypatch.setattr(conjugacy, "conjugate_hyperbolic", refuse)
+    monkeypatch.setattr(conjugacy, "centralizer_hyperbolic", refuse)
+    calls = []
+    real = conjugacy.local_conjugators
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(conjugacy, "local_conjugators", counted)
+    p = presentation("bs12")
+    h = concat(t_pow(1), a_pow(1), t_pow(2), a_pow(-1), t_pow(1))
+    assert translation_length(p, h) == 4
+    first = (h, a_pow(1))
+    by = concat(a_pow(1), t_pow(1), a_pow(1))
+    second = tuple(word_simplify(p, conjugate(p, x, by)) for x in first)
+    ans = multi_conjugate(p, first, second)
+    assert isinstance(ans, Conjugate)
+    _verify(p, ans.witness, first, second)
+    assert len(calls) == len(first)
 
 
 # --- the translation-profile cache lasts one query ----------------------
@@ -363,9 +396,9 @@ def test_verify_conjugator():
     ],
 )
 def test_wrong_coset_raises_internal_error(monkeypatch, name, entry):
-    # a wrong local coset fails the alignment replay in conjugate_hyperbolic
-    # and the commutator checks in centralizer_hyperbolic; a wrong
-    # intersection fails the final replay in multi_conjugate
+    # a wrong local coset or a wrong intersection fails the final replay
+    # in multi_conjugate, and a wrong coset fails the commutator checks in
+    # centralizer_hyperbolic
     real = getattr(conjugacy, name)
 
     def wrong(*args):

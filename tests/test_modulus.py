@@ -22,10 +22,10 @@ from vgbs.modulus import (
     NegativeHalfLine,
     PositiveHalfLine,
     WholeAxis,
+    _shape_anchor,
     classify_intersection,
     compute_modulus,
     halfline_fixation,
-    shift_length,
 )
 from vgbs.linalg import RatMatrix
 from vgbs.tree import (
@@ -419,28 +419,24 @@ def test_deciding_builds_no_fraction(monkeypatch, tmp_path, capsys):
 # --- offsets between shapes ---------------------------------------------
 
 
-def test_shift_length_between_halflines():
+def _anchor_offset(p, h, first, second):
+    return axis_offset(p, h, _shape_anchor(first), _shape_anchor(second))
+
+
+def test_anchor_offset_between_halflines():
     p = presentation("bs12")
     c = concat(t_pow(-5), a_pow(1), t_pow(5))
     near = classify_intersection(p, a_pow(1), t_pow(1))
     far = classify_intersection(p, conjugate(p, t_pow(1), c), t_pow(1))
-    assert shift_length(p, t_pow(1), near, far) == -5
-    assert shift_length(p, t_pow(1), far, near) == 5
-    assert shift_length(p, t_pow(1), near, near) == 0
+    assert _anchor_offset(p, t_pow(1), near, far) == -5
+    assert _anchor_offset(p, t_pow(1), far, near) == 5
+    assert _anchor_offset(p, t_pow(1), near, near) == 0
 
 
-def test_shift_length_between_bridges():
+def test_anchor_offset_between_bridges():
     p = presentation("bs23")
     mover = concat(a_pow(1), t_pow(1))
     g = conjugate(p, a_pow(1), mover)
     s1 = classify_intersection(p, g, t_pow(1))
     s2 = classify_intersection(p, conjugate(p, g, t_pow(1)), t_pow(1))
-    assert shift_length(p, t_pow(1), s1, s2) == 1
-
-
-def test_shift_length_kind_mismatch_and_whole_axis():
-    p = presentation("bs12")
-    near = classify_intersection(p, a_pow(1), t_pow(1))
-    assert shift_length(p, t_pow(1), near, WholeAxis()) is None
-    with pytest.raises(ValueError):
-        shift_length(p, t_pow(1), WholeAxis(), WholeAxis())
+    assert _anchor_offset(p, t_pow(1), s1, s2) == 1

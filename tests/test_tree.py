@@ -271,6 +271,9 @@ def test_axis_walk(bs12p):
     assert axis_offset(bs12p, t, v0, x) == 2
     assert axis_offset(bs12p, t, x, v0) == -2
     assert axis_offset(bs12p, t, x, x) == 0
+    # the geodesic to t·a·t·v0 starts along the axis, then leaves it
+    with pytest.raises(ValueError):
+        axis_offset(bs12p, t, v0, _v(bs12p, concat(t, a_pow(1), t)))
     with pytest.raises(ValueError, match="not on the axis"):
         axis_vertex(bs12p, t, _v(bs12p, concat(t_pow(1), a_pow(1), t_pow(1))), 1)
 
