@@ -11,7 +11,9 @@ that base plus a sign and the vertex where it lives, and sigma divides
 x exactly when sigma's vector is at most x's in every coordinate.  Each
 oriented edge becomes a counter move with a guard, and conjugacy of
 gcd-normalized powers turns into reachability between two such states,
-explored breadth-first up to a state budget.
+explored breadth-first up to a state budget.  The search packs each
+state into one int, so a move is an addition and an xor; the counter
+view above is what instances are built and read in.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from operator import add
 
 from .conjugacy import (
     Conjugate,
@@ -163,41 +164,73 @@ def bounded_reachability(
 ) -> ReachabilityResult:
     """Breadth-first closure of the source.  The closure is often finite
     (guards block unbounded growth), giving a definitive no; when it is
-    not, the budget turns the search into an honest refusal."""
+    not, the budget turns the search into an honest refusal.
+
+    Each state is packed into one int: the vertex index in the low bits,
+    the sign bit (set for negative) above them, and one ``width``-bit
+    multiplicity field per base element above that.  No field goes
+    negative, because a move needs at least its guard and delta >=
+    -guard.  No field overflows: each move adds at most the largest
+    positive delta, and no path in the search is longer than the budget,
+    so a field never exceeds the largest source or target multiplicity
+    plus that delta times the budget.  So a move is exact as one
+    addition of its packed delta and vertex change, with no carry or
+    borrow between fields, followed by an xor with its sign flip, and
+    undoing it reverses both.
+    """
     if state_budget < 1:
         raise ValueError("state budget must be positive")
-    if instance.source == instance.target:
+    source, target = instance.source, instance.target
+    if source == target:
         return Reachable(())
-    # States are plain (exponents, sign, vertex) tuples; each vertex keeps
-    # its moves in transition order and its guards as (index, minimum) pairs.
-    moves: dict[str, list[tuple]] = {}
-    for tr in instance.transitions:
-        guard = tuple((i, g) for i, g in enumerate(tr.guard) if g)
-        moves.setdefault(tr.from_vertex, []).append(
-            (guard, tr.delta, -1 if tr.sign_flip else 1, tr.to_vertex, tr.edge)
-        )
-    source = (instance.source.exponents, instance.source.sign, instance.source.vertex)
-    target = (instance.target.exponents, instance.target.sign, instance.target.vertex)
-    parents: dict[tuple, tuple | None] = {source: None}
-    queue = deque([source])
+    ends = (v for tr in instance.transitions for v in (tr.from_vertex, tr.to_vertex))
+    index = {v: i for i, v in enumerate(dict.fromkeys((source.vertex, target.vertex, *ends)))}
+    vbits = (len(index) - 1).bit_length()
+    sign_bit = 1 << vbits
+    largest = max((0, *source.exponents, *target.exponents))
+    rise = max((0, *(d for tr in instance.transitions for d in tr.delta)))
+    width = (largest + rise * state_budget).bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = [vbits + 1 + width * i for i in range(len(instance.base))]
+
+    def pack(state: VASState) -> int:
+        packed = index[state.vertex] | (sign_bit if state.sign < 0 else 0)
+        for shift, k in zip(shifts, state.exponents):
+            packed |= k << shift
+        return packed
+
+    # each vertex keeps its moves in transition order, as (guards, step,
+    # flip, move index) with guards as (shift, minimum) pairs
+    moves: list[list[tuple]] = [[] for _ in index]
+    undo = []
+    for k, tr in enumerate(instance.transitions):
+        step = index[tr.to_vertex] - index[tr.from_vertex]
+        step += sum(d << shift for shift, d in zip(shifts, tr.delta))
+        flip = sign_bit if tr.sign_flip else 0
+        guards = tuple((shift, g) for shift, g in zip(shifts, tr.guard) if g)
+        moves[index[tr.from_vertex]].append((guards, step, flip, k))
+        undo.append((step, flip, tr.edge))
+    vmask = sign_bit - 1
+    start, goal = pack(source), pack(target)
+    parents: dict[int, int] = {start: -1}
+    queue = deque([start])
     while queue:
-        current = queue.popleft()
-        exponents, sign, vertex = current
-        for guard, delta, flip, to_vertex, edge in moves.get(vertex, ()):
-            for i, g in guard:
-                if exponents[i] < g:
+        s = queue.popleft()
+        for guards, step, flip, k in moves[s & vmask]:
+            for shift, g in guards:
+                if (s >> shift) & mask < g:
                     break
             else:
-                nxt = (tuple(map(add, exponents, delta)), sign * flip, to_vertex)
+                nxt = (s + step) ^ flip
                 if nxt in parents:
                     continue
-                parents[nxt] = (current, edge)
-                if nxt == target:
+                parents[nxt] = k
+                if nxt == goal:
                     edges: list[str] = []
-                    state = nxt
-                    while (link := parents[state]) is not None:
-                        state, eid = link
-                        edges.append(eid)
+                    while (k := parents[nxt]) >= 0:
+                        step, flip, edge = undo[k]
+                        edges.append(edge)
+                        nxt = (nxt ^ flip) - step
                     return Reachable(tuple(reversed(edges)))
                 if len(parents) >= state_budget:
                     return InconclusiveSearch(len(parents), state_budget)

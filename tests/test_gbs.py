@@ -262,6 +262,26 @@ def test_reach_matches_raw_integer_search():
     assert seen == {Reachable, DefinitivelyUnreachable, InconclusiveSearch}
 
 
+@pytest.mark.parametrize(
+    "name, m, n, budget, expected",
+    [
+        # one multiplicity climbs by one per move, close to the budget
+        ("bs12", 1, 3, 2, InconclusiveSearch(2, 2)),
+        ("bs12", 1, 3, 500, InconclusiveSearch(500, 500)),
+        ("bs12", 1, 3, 2000, InconclusiveSearch(2000, 2000)),
+        # the target is the last state the budget allows
+        ("bs12", -1, -(2**399), 400, Reachable(("e1",) * 399)),
+        # a huge budget makes every field very wide
+        ("bs23", 2, 4, 10**30, DefinitivelyUnreachable(2)),
+        ("klein", 3, -3, 100_000, Reachable(("e1",))),
+    ],
+)
+def test_reach_at_the_edges_of_the_state_encoding(name, m, n, budget, expected):
+    p = presentation(name)
+    result = bounded_reachability(build_reachability_instance(p, m, "v0", n, "v0"), budget)
+    assert result == expected == _raw_reachability(p, m, "v0", n, "v0", budget)
+
+
 # --- huge scalars and exponents -----------------------------------------
 
 
