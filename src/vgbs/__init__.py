@@ -23,7 +23,7 @@ from .conjugacy import (
     conjugate_hyperbolic,
     multi_conjugate,
 )
-from .gbs import bounded_reachability, build_reachability_instance, gbs_multi_conjugate
+from .gbs import bounded_reachability, build_reachability_instance
 from .graph import (
     AdaptedPresentation,
     Edge,
@@ -72,7 +72,6 @@ __all__ = [
     "compute_modulus",
     "concat",
     "conjugate_hyperbolic",
-    "gbs_multi_conjugate",
     "graph_from_dict",
     "graph_to_dict",
     "invert_word",

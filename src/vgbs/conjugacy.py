@@ -12,9 +12,11 @@ coordinate gives one coset of stabilizer exponents
 (equations.local_conjugators, one integer linear system), and the cosets
 are intersected (_align).  When every coordinate fixes the whole axis
 nothing pins the shift, and the anchor's centralizer is returned as
-lattice-by-shift data instead of a decision.  Tuples generating an
-elliptic subgroup are decidable only over rank-1 vertex groups and are
-delegated to the reachability module.
+lattice-by-shift data instead of a decision, unless the conjugator
+aligning the two axes already matches every pair.  Tuples generating an
+elliptic subgroup are decided over rank-1 vertex groups, from the
+exponents their certificates carry, by counter reachability (gbs), and
+refused otherwise.
 
 Every conjugator returned is replayed in the word problem first
 (verify_conjugator); a failed replay raises InternalError, also under
@@ -24,11 +26,19 @@ python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable
 
 from .equations import local_conjugators
+from .gbs import (
+    DefinitivelyUnreachable,
+    InconclusiveSearch,
+    bounded_reachability,
+    build_reachability_instance,
+    replay_witness,
+)
 from .graph import AdaptedPresentation
-from .linalg import AffineLattice, InternalError, Lattice, intersect_affine
+from .linalg import AffineLattice, IntVec, InternalError, Lattice, intersect_affine
 from .modulus import WholeAxis, _shape_anchor, classify_intersection
 from .tree import (
     HYPERBOLIC,
@@ -103,7 +113,11 @@ class HyperbolicWitness:
 
 @dataclass(frozen=True)
 class EllipticCertificate:
+    """A vertex fixed by the whole tuple, with the stabilizer coordinates
+    of each item there (the zero vector for a trivial item)."""
+
     vertex: TreeVertex
+    coords: tuple[IntVec, ...]
 
 
 @dataclass(frozen=True)
@@ -149,10 +163,10 @@ def find_hyperbolic_in_tuple(
             prod = word_simplify(pres, concat(items[i], items[j]))
             if translation_profile(pres, prod).kind == HYPERBOLIC:
                 return HyperbolicWitness(prod, (i, j))
-    return EllipticCertificate(_common_fixed_vertex(pres, items))
+    return _elliptic_certificate(pres, items)
 
 
-def _common_fixed_vertex(pres, items) -> TreeVertex:
+def _elliptic_certificate(pres, items) -> EllipticCertificate:
     # Successive projection: project the running common vertex onto the
     # next fixed subtree; the projection stays inside all earlier ones.
     # Walking from a vertex w fixes towards it, the projection is the
@@ -168,11 +182,11 @@ def _common_fixed_vertex(pres, items) -> TreeVertex:
             path = tree_path(pres, profile.fixed, current)
             current = path.vertex(_transport_walk(pres, path.edges, profile.coords)[0])
     if current is None:
-        return base_vertex(pres)
-    for w in items:
-        if not is_trivial(pres, w) and stabilizer_coords(pres, current, w) is None:
-            raise InternalError("the common vertex is not fixed by the whole tuple")
-    return current
+        current = base_vertex(pres)
+    coords = tuple(stabilizer_coords(pres, current, w) for w in items)
+    if None in coords:
+        raise InternalError("the common vertex is not fixed by the whole tuple")
+    return EllipticCertificate(current, coords)
 
 
 def _align(
@@ -262,9 +276,10 @@ def multi_conjugate(
     coordinate by coordinate?
 
     Decides whenever the first tuple generates a non-elliptic subgroup;
-    elliptic tuples are delegated to the rank-1 reachability procedure
-    when the graph allows it and refused otherwise.  A fully axis-aligned
-    instance is returned as ReducedToPolycyclic rather than decided.
+    elliptic tuples are decided by rank-1 reachability when every vertex
+    group has rank 1 and refused otherwise.  A fully axis-aligned
+    instance that the axis alignment alone does not match is returned as
+    ReducedToPolycyclic rather than decided.
 
     The translation profiles cached during the call are dropped when it
     returns.
@@ -290,9 +305,7 @@ def _multi_conjugate(
 
     found = find_hyperbolic_in_tuple(pres, first)
     if isinstance(found, EllipticCertificate):
-        from .gbs import gbs_multi_conjugate
-
-        return gbs_multi_conjugate(pres, first, second, state_budget=state_budget)
+        return _conjugate_elliptic(pres, first, second, found, state_budget)
 
     anchor = found.word
     counterpart = word_simplify(pres, concat(*(second[i] for i in found.indices)))
@@ -319,6 +332,9 @@ def _multi_conjugate(
             return aligned
         g0, g0_inv = aligned.witness, invert_word(pres, aligned.witness)
         matched = tuple(word_simplify(pres, concat(g0_inv, y, g0)) for y in second)
+        if all(words_equal(pres, x, y) for x, y in zip(first, matched)):
+            verify_conjugator(pres, g0, first, second)
+            return Conjugate(g0)
         cen = centralizer_hyperbolic(pres, anchor)
         return ReducedToPolycyclic(
             tuple(zip(first, matched)), cen.elliptic, cen.shift_generator, cen.basepoint
@@ -339,5 +355,57 @@ def _multi_conjugate(
     witness = _align(pres, first, second, v, (target,))
     if witness is None:
         return NotConjugate("no conjugator carries the axis anchors onto each other")
+    verify_conjugator(pres, witness, first, second)
+    return Conjugate(witness)
+
+
+def _conjugate_elliptic(
+    pres: AdaptedPresentation,
+    first: tuple[Word, ...],
+    second: tuple[Word, ...],
+    found: EllipticCertificate,
+    state_budget: int,
+) -> ConjugacyAnswer:
+    """Tuple conjugacy once the first tuple has an elliptic certificate.
+
+    Over rank-1 vertex groups the certificate coordinates are generator
+    exponents.  A conjugator sends generator powers to generator powers
+    with one scaling factor, so the exponent patterns must agree up to
+    that factor and the gcd powers must be conjugate, which bounded
+    reachability answers.  Some first exponent is nonzero, since equal
+    tuples are answered before any certificate is built.
+    """
+    if any(v.rank != 1 for v in pres.graph.vertices):
+        return EllipticUnsupported(
+            "elliptic tuple conjugacy needs every vertex group to have rank 1"
+        )
+    other = find_hyperbolic_in_tuple(pres, second)
+    if not isinstance(other, EllipticCertificate):
+        return NotConjugate("one side is elliptic, the other is not")
+    pairs = [(x[0], y[0]) for x, y in zip(found.coords, other.coords)]
+    if any((m == 0) != (n == 0) for m, n in pairs):
+        return NotConjugate("an identity coordinate faces a nontrivial one")
+
+    # One scaling factor must relate the exponent patterns exactly.
+    live = [(m, n) for m, n in pairs if m != 0]
+    mu = gcd(*(m for m, _ in live))
+    nu, rest = divmod(live[0][1], live[0][0] // mu)
+    if rest or any(n != nu * (m // mu) for m, n in live):
+        return NotConjugate("exponent patterns differ")
+
+    va, vb = found.vertex, other.vertex
+    result = bounded_reachability(
+        build_reachability_instance(pres, mu, va.rep, nu, vb.rep), state_budget
+    )
+    if isinstance(result, InconclusiveSearch):
+        return Inconclusive(result.explored, result.budget)
+    if isinstance(result, DefinitivelyUnreachable):
+        return NotConjugate(
+            f"gcd powers are not conjugate (closure of {result.closure_size} states)"
+        )
+    witness = word_simplify(
+        pres,
+        concat(vb.carrier, replay_witness(pres, result.edges), invert_word(pres, va.carrier)),
+    )
     verify_conjugator(pres, witness, first, second)
     return Conjugate(witness)

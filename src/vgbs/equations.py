@@ -45,7 +45,7 @@ from .linalg import (
     solve_linear_system_integer,
     sub_vec,
 )
-from .words import Word, concat, conjugate, invert_word, reduced_form, word_power, word_simplify
+from .words import Word, concat, conjugate, invert_word, reduced_form, word_power
 from .tree import TreeVertex, translation_profile, ELLIPTIC
 
 
@@ -156,7 +156,7 @@ def _symbolic_loop(
     terms: list[AffineVec] = [AffineVec.constant((0,) * pres.vertex_rank(pres.base), p)]
 
     def gap(w: Word, start: str, end: str) -> None:
-        rf = reduced_form(pres, word_simplify(pres, w), base=start, end=end)
+        rf = reduced_form(pres, w, base=start, end=end)
         terms[-1] = terms[-1].add(AffineVec.constant(rf.terms[0], p))
         for e, term in zip(rf.edges, rf.terms[1:]):
             steps.append(e)
@@ -250,7 +250,7 @@ def local_conjugators(
     rank = pres.vertex_rank(v.rep)
     into_v = invert_word(pres, v.carrier)
     p, q = (
-        reduced_form(pres, word_simplify(pres, conjugate(pres, w, into_v)), v.rep, v.rep)
+        reduced_form(pres, conjugate(pres, w, into_v), v.rep, v.rep)
         for w in (g, h)
     )
     if [e.id for e in p.edges] != [e.id for e in q.edges]:

@@ -1,4 +1,5 @@
-"""Elliptic tuple conjugacy over rank-1 vertex groups, via reachability.
+"""Conjugacy of generator powers over rank-1 vertex groups, as counter
+reachability.
 
 When every vertex group is infinite cyclic, an elliptic element is a
 power of a vertex generator up to conjugacy, and conjugating a power
@@ -9,11 +10,12 @@ the two query exponents by gcd refinement, with no prime factoring.  A
 power is then described exactly by its vector of multiplicities over
 that base plus a sign and the vertex where it lives, and sigma divides
 x exactly when sigma's vector is at most x's in every coordinate.  Each
-oriented edge becomes a counter move with a guard, and conjugacy of
-gcd-normalized powers turns into reachability between two such states,
-explored breadth-first up to a state budget.  The search packs each
-state into one int, so a move is an addition and an xor; the counter
-view above is what instances are built and read in.
+oriented edge becomes a counter move with a guard, and conjugacy of two
+powers turns into reachability between two such states, explored
+breadth-first up to a state budget.  The search packs each state into
+one int, so a move is an addition and an xor; the counter view above is
+what instances are built and read in.  The tuple decision that reduces
+to one such query lives in conjugacy.
 """
 
 from __future__ import annotations
@@ -22,20 +24,9 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .conjugacy import (
-    Conjugate,
-    ConjugacyAnswer,
-    EllipticCertificate,
-    EllipticUnsupported,
-    Inconclusive,
-    NotConjugate,
-    find_hyperbolic_in_tuple,
-    verify_conjugator,
-)
 from .graph import AdaptedPresentation
 from .linalg import InternalError
-from .tree import TreeVertex, stabilizer_coords
-from .words import Word, concat, invert_word, letter_word, word_simplify
+from .words import Word, concat, letter_word
 
 
 @dataclass(frozen=True)
@@ -246,77 +237,3 @@ def replay_witness(pres: AdaptedPresentation, edges: tuple[str, ...]) -> Word:
         letter_word(eid) for eid in reversed(edges) if not pres.is_tree_edge(eid)
     ]
     return concat(*letters)
-
-
-def gbs_multi_conjugate(
-    pres: AdaptedPresentation,
-    first: tuple[Word, ...],
-    second: tuple[Word, ...],
-    state_budget: int = 100_000,
-) -> ConjugacyAnswer:
-    """Tuple conjugacy when both tuples generate elliptic subgroups.
-
-    After moving each tuple into a single vertex group, a conjugator must
-    send generator powers to generator powers with one scaling factor, so
-    the exponent patterns must agree up to that factor and the gcd powers
-    must be conjugate, which bounded reachability answers.
-    """
-    first = tuple(first)
-    second = tuple(second)
-    if not first or len(first) != len(second):
-        raise ValueError("tuples must be nonempty and of equal length")
-    if state_budget < 1:
-        raise ValueError("state budget must be positive")
-    if any(v.rank != 1 for v in pres.graph.vertices):
-        return EllipticUnsupported(
-            "elliptic tuple conjugacy needs every vertex group to have rank 1"
-        )
-    found_first = find_hyperbolic_in_tuple(pres, first)
-    if not isinstance(found_first, EllipticCertificate):
-        raise ValueError("first tuple generates a non-elliptic subgroup")
-    found_second = find_hyperbolic_in_tuple(pres, second)
-    if not isinstance(found_second, EllipticCertificate):
-        return NotConjugate("one side is elliptic, the other is not")
-
-    def exponents(items: tuple[Word, ...], vertex: TreeVertex) -> tuple[int, ...]:
-        out = []
-        for w in items:
-            coords = stabilizer_coords(pres, vertex, w)
-            if coords is None:
-                raise InternalError("the certificate vertex does not fix the tuple")
-            out.append(coords[0])
-        return tuple(out)
-
-    va, vb = found_first.vertex, found_second.vertex
-    ms = exponents(first, va)
-    ns = exponents(second, vb)
-    if any((m == 0) != (n == 0) for m, n in zip(ms, ns)):
-        return NotConjugate("an identity coordinate faces a nontrivial one")
-    live = [(m, n) for m, n in zip(ms, ns) if m != 0]
-    if not live:
-        return Conjugate(Word.identity())
-
-    # One scaling factor must relate the exponent patterns exactly.
-    mu = gcd(*(m for m, _ in live))
-    ratios = [(m // mu, n) for m, n in live]
-    r0, n0 = ratios[0]
-    if n0 % r0:
-        return NotConjugate("exponent patterns differ")
-    nu = n0 // r0
-    if any(n != nu * r for r, n in ratios):
-        return NotConjugate("exponent patterns differ")
-
-    instance = build_reachability_instance(pres, mu, va.rep, nu, vb.rep)
-    result = bounded_reachability(instance, state_budget)
-    if isinstance(result, InconclusiveSearch):
-        return Inconclusive(result.explored, result.budget)
-    if isinstance(result, DefinitivelyUnreachable):
-        return NotConjugate(
-            f"gcd powers are not conjugate (closure of {result.closure_size} states)"
-        )
-    witness = word_simplify(
-        pres,
-        concat(vb.carrier, replay_witness(pres, result.edges), invert_word(pres, va.carrier)),
-    )
-    verify_conjugator(pres, witness, first, second)
-    return Conjugate(witness)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
 from typing import Sequence
 
 from .graph import AdaptedPresentation, Edge
@@ -149,9 +150,13 @@ def compute_modulus(
     return Modulus(basepoint, span, RatMatrix.from_columns(columns, rows=span.rank))
 
 
-def _ray(pres: AdaptedPresentation, period_edges: Sequence[Edge], coords: IntVec) -> int | None:
-    """How many edges of the ray that repeats period_edges an elliptic
-    element fixes, given its coordinates at the start; None for all.
+def _ray(
+    pres: AdaptedPresentation, period_edges: Sequence[Edge], coords: IntVec
+) -> tuple[int, IntVec | None] | None:
+    """Does an elliptic element fix the ray that repeats period_edges,
+    given its coordinates at the start?  None when it fixes all of it;
+    otherwise the walk so far when that was refuted: the edges it fixed
+    and its coordinates there, None once a step has left the fixed set.
 
     Each period maps the coordinates by the same partial integer map T.
     While the orbit x, Tx, T²x, ... grows in rank it is walked period by
@@ -159,20 +164,20 @@ def _ray(pres: AdaptedPresentation, period_edges: Sequence[Edge], coords: IntVec
     decides: if it is an integer combination of them, so is every later
     one, and the ray is fixed for ever.  If not, the minimal polynomial of
     T on that span is not integral, so no finitely generated module holds
-    the orbit and the walk must fail; it is followed until it does.
+    the orbit and walking on from there must leave the fixed set.
     """
-    orbit: Lattice | None = Lattice.zero(len(coords))
+    orbit = Lattice.zero(len(coords))
     fixed = 0
-    while True:
-        if orbit is not None:
-            if orbit.contains(coords):
-                return None
-            grown = Lattice.from_generators(len(coords), orbit.basis.columns() + [coords])
-            orbit = grown if grown.rank > orbit.rank else None
+    while coords is not None:
+        if orbit.contains(coords):
+            return None
+        grown = Lattice.from_generators(len(coords), orbit.basis.columns() + [coords])
+        if grown.rank == orbit.rank:
+            break
+        orbit = grown
         steps, coords = _transport_walk(pres, period_edges, coords)
         fixed += steps
-        if coords is None:
-            return fixed
+    return fixed, coords
 
 
 def halfline_fixation(
@@ -187,9 +192,10 @@ def halfline_fixation(
 
     The basepoint must lie on the axis; by default the start of the
     fundamental domain is used.  The coordinates of g are carried along
-    the half-line one period at a time by integer edge transports (_ray):
-    an integer dependence among them certifies the whole half-line, and a
-    step outside an edge image refutes it.
+    the half-line one period at a time by integer edge transports (_ray)
+    until the first dependence among them: an integer one certifies the
+    whole half-line, and a non-integral one or a step outside an edge
+    image refutes it.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -238,9 +244,18 @@ def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> Inters
     if elliptic:
         coords = stabilizer_coords(pres, meet, g)
         # h⁻¹ maps the reversed span onto the period from meet against h
-        back = tuple(pres.reverse(e) for e in reversed(span.edges))
-        rays = {1: _ray(pres, span.edges, coords), -1: _ray(pres, back, coords)}
-        return _shape(pres, along, rays[1] is None, rays[-1] is None, rays.__getitem__)
+        periods = {1: span.edges, -1: tuple(pres.reverse(e) for e in reversed(span.edges))}
+        rays = {d: _ray(pres, edges, coords) for d, edges in periods.items()}
+
+        def fixed_edges(d: int) -> int:
+            # a refuted ray is walked on from where _ray stopped until
+            # the element leaves its fixed set
+            walked, left = rays[d]
+            if left is None:
+                return walked
+            return walked + _transport_walk(pres, cycle(periods[d]), left)[0]
+
+        return _shape(pres, along, rays[1] is None, rays[-1] is None, fixed_edges)
 
     cap = translation_length(pres, g) + translation_length(pres, h) + 1
 

@@ -36,7 +36,6 @@ from .words import (
     conjugate,
     vertex_word,
     word_power,
-    word_simplify,
 )
 
 ELLIPTIC = "elliptic"
@@ -200,13 +199,12 @@ def translation_profile(pres: AdaptedPresentation, w: Word) -> TranslationProfil
     cached = pres._profiles.get(w)
     if cached is not None:
         return cached
-    ws = word_simplify(pres, w)
     x0 = base_vertex(pres)
-    image, s = _translate(pres, ws, x0)
+    image, s = _translate(pres, w, x0)
     first = tree_path(pres, x0, image)
     mid = first.vertex(first.length // 2)
     if first.length:
-        image, s = _translate(pres, ws, mid)
+        image, s = _translate(pres, w, mid)
     length = distance(pres, mid, image)
     if length == 0:
         profile = TranslationProfile(0, ELLIPTIC, mid, None, s)

@@ -212,7 +212,7 @@ def reduced_form(
 
 
 def is_trivial(pres: AdaptedPresentation, w: Word) -> bool:
-    pf = reduced_form(pres, word_simplify(pres, w))
+    pf = reduced_form(pres, w)
     return pf.length == 0 and is_zero_vec(pf.terms[0])
 
 
@@ -220,7 +220,7 @@ def express_in_vertex(pres: AdaptedPresentation, w: Word, vertex: str) -> IntVec
     """Coordinates of w in the group at the given vertex, or None when w
     does not belong to it.  Complete: a reduced loop of positive length
     never lies in a vertex group."""
-    pf = reduced_form(pres, word_simplify(pres, w), base=vertex, end=vertex)
+    pf = reduced_form(pres, w, base=vertex, end=vertex)
     if pf.length == 0:
         return pf.terms[0]
     return None

@@ -372,6 +372,20 @@ def test_conjugate_polycyclic_reduction(graph_file, capsys):
     assert not is_trivial(pres, shift)
 
 
+def test_conjugate_whole_axis_tuple_matched_by_the_alignment(graph_file, capsys):
+    # te1 fixes its own whole axis, so nothing anchors the shift, but the
+    # conjugator aligning the two axes carries the pair
+    code, out = run(capsys, "conjugate", graph_file("bs12"), "[te1]", "[xv0(1) te1 xv0(-1)]")
+    assert code == 0
+    assert out == {"kind": "conjugate", "witness": "xv0(1)"}
+    graph = ALL_GRAPHS["bs12"]()
+    pres = presentation("bs12")
+    g = parse_word(out["witness"], graph)
+    moved = concat(g, parse_word("te1", graph), invert_word(pres, g))
+    target = parse_word("xv0(1) te1 xv0(-1)", graph)
+    assert is_trivial(pres, concat(moved, invert_word(pres, target)))
+
+
 def test_conjugate_empty_lists_are_an_input_error(graph_file, capsys):
     code, out = run(capsys, "conjugate", graph_file("bs12"), "[]", "[]")
     assert code == 1 and out["kind"] == "error"

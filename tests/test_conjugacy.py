@@ -286,6 +286,19 @@ def test_multi_klein_reduces_to_polycyclic():
     assert translation_length(p, ans.shift_generator) == 1
 
 
+def test_multi_whole_axis_tuple_matched_by_the_alignment():
+    # every coordinate of (t, t²) fixes the whole t axis, so no anchor
+    # pins the shift, but the conjugator aligning t with a·t·a⁻¹ already
+    # carries each pair: the tuple is decided, not reduced
+    p = presentation("bs12")
+    first = (t_pow(1), word_power(p, t_pow(1), 2))
+    second = tuple(conjugate(p, x, a_pow(1)) for x in first)
+    ans = multi_conjugate(p, first, second)
+    assert isinstance(ans, Conjugate)
+    assert words_equal(p, ans.witness, a_pow(1))
+    _verify(p, ans.witness, first, second)
+
+
 def test_multi_elliptic_high_rank_unsupported():
     p = presentation("z4f2")
     first = (vertex_word("v0", (1, 0, 0, 0)),)
@@ -415,9 +428,7 @@ def test_wrong_coset_raises_internal_error(monkeypatch, name, entry):
 
 
 def test_wrong_reachability_witness_raises_internal_error(monkeypatch):
-    import vgbs.gbs
-
-    monkeypatch.setattr(vgbs.gbs, "replay_witness", lambda pres, edges: a_pow(1))
+    monkeypatch.setattr(conjugacy, "replay_witness", lambda pres, edges: a_pow(1))
     pres = presentation("bs12")
     # a = t⁻¹·a²·t, found by the search as one crossing of the loop
     with pytest.raises(InternalError):

@@ -15,7 +15,7 @@ import pytest
 
 from vgbs.cli import run_command
 from vgbs.conjugacy import centralizer_hyperbolic, multi_conjugate
-from vgbs.graph import build_presentation, graph_to_dict
+from vgbs.graph import AdaptedPresentation, build_presentation, graph_to_dict
 from vgbs.modulus import (
     Empty,
     Finite,
@@ -190,6 +190,24 @@ def test_halfline_flips_with_inverse():
     p = presentation("bs12")
     assert halfline_fixation(p, t_pow(-1), a_pow(1), 1)
     assert not halfline_fixation(p, t_pow(-1), a_pow(1), -1)
+
+
+def test_halfline_refuted_at_the_orbit_test(monkeypatch):
+    # a^(2^10001) fixes 10001 edges of the t ray, but its first two orbit
+    # vectors 2^10001 and 2^10000 are rationally, not integrally,
+    # dependent, which refutes the half-line after one period
+    p = presentation("bs12")
+    g = a_pow(2**10001)
+    calls = []
+    original = AdaptedPresentation.transport_across
+
+    def counting(self, edge, x):
+        calls.append(edge)
+        return original(self, edge, x)
+
+    monkeypatch.setattr(AdaptedPresentation, "transport_across", counting)
+    assert not halfline_fixation(p, t_pow(1), g, 1)
+    assert 0 < len(calls) <= 40
 
 
 # --- intersection shapes ------------------------------------------------
