@@ -37,7 +37,7 @@ from .gbs import (
     build_reachability_instance,
     replay_witness,
 )
-from .graph import AdaptedPresentation
+from .graph import AdaptedPresentation, query_scope
 from .linalg import AffineLattice, IntVec, InternalError, Lattice, intersect_affine
 from .modulus import WholeAxis, _shape_anchor, classify_intersection
 from .tree import (
@@ -215,6 +215,7 @@ def _align(
     return None
 
 
+@query_scope
 def conjugate_hyperbolic(pres: AdaptedPresentation, a: Word, b: Word) -> ConjugacyAnswer:
     """Decide conjugacy of two hyperbolic elements.
 
@@ -237,6 +238,7 @@ def conjugate_hyperbolic(pres: AdaptedPresentation, a: Word, b: Word) -> Conjuga
     return Conjugate(witness)
 
 
+@query_scope
 def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
     """Centralizer of a hyperbolic element as lattice + minimal shift.
 
@@ -266,6 +268,7 @@ def centralizer_hyperbolic(pres: AdaptedPresentation, h: Word) -> Centralizer:
     return Centralizer(w0, lattice, shift)
 
 
+@query_scope
 def multi_conjugate(
     pres: AdaptedPresentation,
     first: tuple[Word, ...],
@@ -281,21 +284,10 @@ def multi_conjugate(
     instance that the axis alignment alone does not match is returned as
     ReducedToPolycyclic rather than decided.
 
-    The translation profiles cached during the call are dropped when it
+    The per-query caches filled during the call are dropped when it
     returns.
     """
-    try:
-        return _multi_conjugate(pres, tuple(first), tuple(second), state_budget)
-    finally:
-        pres.end_query()
-
-
-def _multi_conjugate(
-    pres: AdaptedPresentation,
-    first: tuple[Word, ...],
-    second: tuple[Word, ...],
-    state_budget: int,
-) -> ConjugacyAnswer:
+    first, second = tuple(first), tuple(second)
     if not first or len(first) != len(second):
         raise ValueError("tuples must be nonempty and of equal length")
     if state_budget < 1:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, wraps
+from typing import Callable, Sequence
 
 from .linalg import (
     IntMatrix,
@@ -261,11 +261,13 @@ class AdaptedPresentation:
     one letter per oriented edge, with tree-edge letters equal to the
     identity.  Instances own the caches of edge data and spanning-tree
     routes, which depend on the graph alone and last as long as the
-    presentation, so reuse one presentation per graph.  Translation
-    profiles are cached too; multi_conjugate drops them when it returns
-    (end_query), so they do not pile up over a stream of its queries,
-    but the other entry points (conjugate_hyperbolic,
-    centralizer_hyperbolic, classify_intersection) still accumulate them.
+    presentation, so reuse one presentation per graph.
+
+    One query (a call of an entry point wrapped in query_scope) keeps a
+    record per word it meets (words.LoopForm): its reduced loop at the
+    base, its forward pass and its translation profile.  The outermost
+    scope drops them when it returns (end_query), so nothing piles up
+    over a stream of queries, and calls outside any scope keep none.
     """
 
     def __init__(
@@ -285,11 +287,12 @@ class AdaptedPresentation:
         self.tree_edge_ids = frozenset(tree_ids)
         self._edge_data: dict[str, _EdgeData] = {}
         self._routes: dict[tuple[str, str], tuple[Edge, ...]] = {}
-        self._profiles: dict = {}
+        self._words: dict = {}
+        self._depth = 0
 
     def end_query(self) -> None:
-        """Drop the caches scoped to one query: the translation profiles."""
-        self._profiles.clear()
+        """Drop the caches scoped to one query: the per-word records."""
+        self._words.clear()
 
     def vertex_rank(self, vid: str) -> int:
         return self.graph.vertex_rank(vid)
@@ -329,6 +332,24 @@ class AdaptedPresentation:
         route = up + pv[common:]
         self._routes[key] = route
         return route
+
+
+def query_scope(fn: Callable) -> Callable:
+    """Run fn(pres, ...) as one query.  Scopes nest: calls made inside
+    another query share its caches, and the outermost one drops them
+    when it returns or raises."""
+
+    @wraps(fn)
+    def scoped(pres: AdaptedPresentation, *args, **kwargs):
+        pres._depth += 1
+        try:
+            return fn(pres, *args, **kwargs)
+        finally:
+            pres._depth -= 1
+            if not pres._depth:
+                pres.end_query()
+
+    return scoped
 
 
 def build_presentation(graph: VGBSGraph, base: str | None = None) -> AdaptedPresentation:

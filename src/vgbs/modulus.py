@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import cycle
 from typing import Sequence
 
-from .graph import AdaptedPresentation, Edge
+from .graph import AdaptedPresentation, Edge, query_scope
 from .linalg import (
     IntVec,
     InternalError,
@@ -99,6 +99,7 @@ class WholeAxis:
 IntersectionShape = Empty | Finite | PositiveHalfLine | NegativeHalfLine | WholeAxis
 
 
+@query_scope
 def compute_modulus(
     pres: AdaptedPresentation, h: Word, basepoint: TreeVertex | None = None
 ) -> Modulus:
@@ -180,6 +181,7 @@ def _ray(
     return fixed, coords
 
 
+@query_scope
 def halfline_fixation(
     pres: AdaptedPresentation,
     h: Word,
@@ -209,6 +211,7 @@ def halfline_fixation(
     return coords is not None and _ray(pres, period.edges, coords) is None
 
 
+@query_scope
 def classify_intersection(pres: AdaptedPresentation, g: Word, h: Word) -> IntersectionShape:
     """Shape of (characteristic space of g) ∩ (axis of h).
 

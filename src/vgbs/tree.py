@@ -4,12 +4,19 @@ Tree vertices are cosets g·ṽ, stored as normal forms: the geodesic from
 the base vertex as (edge, term) steps with canonical terms (TreeVertex).
 Equal vertices are equal values, and the geodesic between two vertices
 is read off the longest common prefix of their normal forms, so paths
-and distances need no word problem.  translate runs the reduction's
-Britton step (words._pinch) on into x's steps, and stabilizer
-coordinates (stabilizer_coords) are the term s it carries past them,
-g·carrier(x) = carrier(g·x)·s.  How far an
-elliptic element stays fixed along a walk follows edge transports of
-those coordinates (the transport walk, _transport_walk).
+and distances need no word problem.
+
+translate joins g's reduced loop at the base to x's steps: the Britton
+step (words._pinch) runs on at the junction, and each term is split into
+its canonical part and a carry into the next (Serre, *Trees*, §I.5.2,
+Thm 11).  A word's loop and the forward pass of those splits, the normal
+form of g·base, are kept in its per-query record (_loop), so a translate
+copies a prefix of that pass and pays only for the junction and for the
+steps of x that the carry changes.  Stabilizer coordinates
+(stabilizer_coords) are the term s the translate carries past x's steps,
+g·carrier(x) = carrier(g·x)·s.  How far an elliptic element stays fixed
+along a walk follows edge transports of those coordinates (the transport
+walk, _transport_walk).
 
 Projections onto a characteristic space (the fixed subtree or the axis
 of w) come from one translate: the group acts without inversions, so
@@ -17,7 +24,8 @@ d(x, w·x) = ℓ(w) + 2·d(x, Char w), and the geodesic [x, w·x] passes
 through the projection p of x, then through w·p (Serre, *Trees*, §I.6).
 char_distance reads d(x, Char w) off that identity, and
 translation_profile finds ℓ(w) and its witness at the midpoint of
-[x0, w·x0], which always lies on Char w.
+[x0, w·x0], which always lies on Char w; the profile is kept in w's
+record too.
 """
 
 from __future__ import annotations
@@ -28,12 +36,13 @@ from typing import Iterable, Sequence
 from .graph import AdaptedPresentation, Edge
 from .linalg import IntVec, add_vec, zero_vec
 from .words import (
+    LoopForm,
     StableSyllable,
     VertexSyllable,
     Word,
     _pinch,
-    _reduce,
     conjugate,
+    loop_form,
     vertex_word,
     word_power,
 )
@@ -124,6 +133,24 @@ def translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> TreeVertex:
     return _translate(pres, g, x)[0]
 
 
+def _loop(pres: AdaptedPresentation, g: Word) -> LoopForm:
+    """g's record with its forward pass: steps[i] = (eᵢ, rᵢ) is step i of
+    the normal form of g·base, and inflow[i] the carry that splitting
+    term i−1 adds to term i (None when 0; inflow[0] is None)."""
+    loop = loop_form(pres, g)
+    if loop.steps is None:
+        steps: list[tuple[Edge, IntVec]] = []
+        inflow: list[IntVec | None] = [None]
+        carry = loop.terms[0]
+        for e, c in zip(loop.edges, loop.terms[1:]):
+            r, moved = pres.edge_data(e).split_across(carry)
+            steps.append((e, r))
+            inflow.append(moved)
+            carry = c if moved is None else add_vec(c, moved)
+        loop.steps, loop.inflow = tuple(steps), tuple(inflow)
+    return loop
+
+
 def _translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> tuple[TreeVertex, IntVec]:
     """(g·x, s) with g·carrier(x) = carrier(g·x)·s and s in the group at
     x.rep: the reduced loop form of g joined to x's steps.
@@ -134,6 +161,13 @@ def _translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> tuple[TreeV
     c·t(ē) = r·t(ē)·s(across·q) moves q into the next term; once q is 0
     inside x's steps, the rest of them stand as they are and s is 0.
     Otherwise s is the last term, which fixes the vertex.
+
+    g's loop and forward pass come from the query's record (_loop), so
+    a translate costs its junction, not its word.  That is exact: the
+    pinches only pop steps off the end of g's loop and change only its
+    last surviving term, term m, and split i reads terms 0…i alone, so
+    the first m normal-form steps and the carry into term m are those
+    of g·base.
     """
     steps = x.steps
     zero = zero_vec(pres.vertex_rank(x.rep))
@@ -141,19 +175,18 @@ def _translate(pres: AdaptedPresentation, g: Word, x: TreeVertex) -> tuple[TreeV
     def term(k: int) -> IntVec:
         return steps[k][1] if k < len(steps) else zero
 
-    edges, terms = _reduce(pres, g, pres.base, pres.base)
+    loop = _loop(pres, g)
+    edges, terms = list(loop.edges), list(loop.terms)
     terms[-1] = add_vec(terms[-1], term(0))
     kept = 0
     while kept < len(steps) and _pinch(pres, edges, terms, steps[kept][0]):
         kept += 1
         terms[-1] = add_vec(terms[-1], term(kept))
 
-    out: list[tuple[Edge, IntVec]] = []
-    carry = terms[0]
-    for e, c in zip(edges, terms[1:]):
-        r, moved = pres.edge_data(e).split_across(carry)
-        out.append((e, r))
-        carry = c if moved is None else add_vec(c, moved)
+    m = len(edges)
+    out = list(loop.steps[:m])
+    moved = loop.inflow[m]
+    carry = terms[m] if moved is None else add_vec(terms[m], moved)
     for k in range(kept, len(steps)):
         e = steps[k][0]
         r, moved = pres.edge_data(e).split_across(carry)
@@ -196,9 +229,9 @@ def translation_profile(pres: AdaptedPresentation, w: Word) -> TranslationProfil
     midpoint is the projection of x0 onto the fixed subtree, and for
     hyperbolic w a fundamental domain runs from that projection, at
     distance (d(x0, w·x0) − ℓ(w)) / 2 from x0, to its image."""
-    cached = pres._profiles.get(w)
-    if cached is not None:
-        return cached
+    loop = loop_form(pres, w)
+    if loop.profile is not None:
+        return loop.profile
     x0 = base_vertex(pres)
     image, s = _translate(pres, w, x0)
     first = tree_path(pres, x0, image)
@@ -213,7 +246,7 @@ def translation_profile(pres: AdaptedPresentation, w: Word) -> TranslationProfil
         profile = TranslationProfile(
             length, HYPERBOLIC, None, first.subpath(offset, offset + length), None
         )
-    pres._profiles[w] = profile
+    loop.profile = profile
     return profile
 
 

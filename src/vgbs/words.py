@@ -19,7 +19,9 @@ with a zero term represents the identity.
 Reduction is one stack pass (Britton's lemma; Lyndon–Schupp, §IV.2):
 every step of the walk of w through spanning-tree detours is pinched
 against the stack as it arrives (_pinch), and tree._translate runs the
-same step on into the steps of a tree vertex.
+same step on into the steps of a tree vertex.  Within one query
+(graph.query_scope) each word is reduced to its loop at the base once
+(loop_form); is_trivial and tree navigation read that record.
 """
 
 from __future__ import annotations
@@ -58,6 +60,18 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.syllables)
+
+    def __hash__(self) -> int:
+        # computed once: words key the per-query caches
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.syllables))
+            return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so the cached one stays behind
+        return Word, (self.syllables,)
 
 
 def vertex_word(vertex: str, vec: Sequence[int]) -> Word:
@@ -211,19 +225,36 @@ def reduced_form(
     return PathForm((base, *(e.to for e in steps)), tuple(steps), tuple(terms))
 
 
+@dataclass(slots=True)
+class LoopForm:
+    """What one query knows about a word w: the steps and terms of its
+    reduced loop at the base, and, once tree.translate has needed them,
+    the normal-form steps of w·base (tree._loop) and the translation
+    profile of w."""
+
+    edges: tuple[Edge, ...]
+    terms: tuple[IntVec, ...]
+    steps: tuple | None = None
+    inflow: tuple | None = None
+    profile: object = None
+
+
+def loop_form(pres: AdaptedPresentation, w: Word) -> LoopForm:
+    """The record of w, reducing w if this query has not met it yet.  A
+    call outside any query (graph.query_scope) keeps nothing, so a
+    presentation used without one does not grow."""
+    loop = pres._words.get(w)
+    if loop is None:
+        edges, terms = _reduce(pres, w, pres.base, pres.base)
+        loop = LoopForm(tuple(edges), tuple(terms))
+        if pres._depth:
+            pres._words[w] = loop
+    return loop
+
+
 def is_trivial(pres: AdaptedPresentation, w: Word) -> bool:
-    pf = reduced_form(pres, w)
-    return pf.length == 0 and is_zero_vec(pf.terms[0])
-
-
-def express_in_vertex(pres: AdaptedPresentation, w: Word, vertex: str) -> IntVec | None:
-    """Coordinates of w in the group at the given vertex, or None when w
-    does not belong to it.  Complete: a reduced loop of positive length
-    never lies in a vertex group."""
-    pf = reduced_form(pres, w, base=vertex, end=vertex)
-    if pf.length == 0:
-        return pf.terms[0]
-    return None
+    loop = loop_form(pres, w)
+    return not loop.edges and is_zero_vec(loop.terms[0])
 
 
 def words_equal(pres: AdaptedPresentation, a: Word, b: Word) -> bool:

@@ -9,13 +9,14 @@ import random
 from fractions import Fraction
 
 from vgbs.graph import Edge, VGBSGraph, Vertex, build_presentation
-from vgbs.linalg import IntMatrix
+from vgbs.linalg import IntMatrix, IntVec
 from vgbs.words import (
     StableSyllable,
     VertexSyllable,
     Word,
     concat,
     conjugate,
+    reduced_form,
     vertex_word,
     word_power,
     word_simplify,
@@ -147,6 +148,14 @@ def random_word(rng: random.Random, pres, n_syllables: int, max_coord: int = 3) 
             vec = tuple(rng.randint(-max_coord, max_coord) for _ in range(v.rank))
             syllables.append(VertexSyllable(v.id, vec))
     return Word(tuple(syllables))
+
+
+def express_in_vertex(pres, w: Word, vertex: str) -> IntVec | None:
+    """Coordinates of w in the group at the given vertex, or None when w
+    does not belong to it: a Britton reference, complete because a
+    reduced loop of positive length never lies in a vertex group."""
+    pf = reduced_form(pres, w, base=vertex, end=vertex)
+    return pf.terms[0] if pf.length == 0 else None
 
 
 def bs12_affine(w: Word) -> tuple[Fraction, Fraction]:

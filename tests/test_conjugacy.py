@@ -7,10 +7,11 @@ oracle for f2.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from vgbs import conjugacy
+from vgbs import conjugacy, tree, words
 from vgbs.conjugacy import (
     Conjugate,
     EllipticCertificate,
@@ -25,7 +26,9 @@ from vgbs.conjugacy import (
     multi_conjugate,
     verify_conjugator,
 )
+from vgbs.graph import AdaptedPresentation
 from vgbs.linalg import AffineLattice, Lattice
+from vgbs.modulus import classify_intersection, compute_modulus, halfline_fixation
 from vgbs.tree import stabilizer_coords, translation_length
 from vgbs.words import (
     Word,
@@ -33,6 +36,7 @@ from vgbs.words import (
     conjugate,
     invert_word,
     is_trivial,
+    letter_word,
     vertex_word,
     word_power,
     word_simplify,
@@ -360,12 +364,22 @@ def test_multi_anchored_tuple_aligns_once(monkeypatch):
     assert len(calls) == len(first)
 
 
-# --- the translation-profile cache lasts one query ----------------------
+# --- the per-query caches last one query ---------------------------------
 
 
 def test_multi_conjugate_leaves_no_profiles_behind():
+    # the word records (loops, forward passes, profiles) are dropped once
+    # per call, by the outermost scope: the nested entry points inside
+    # (classify_intersection, conjugate_hyperbolic, ...) do not drop them
     pres = presentation("bs12")
     rng = random.Random(97)
+    kept = []
+
+    def end_query():
+        kept.append(len(pres._words))
+        AdaptedPresentation.end_query(pres)
+
+    pres.end_query = end_query
     for i in range(50):
         if i % 5 == 4:
             # elliptic tuples go to the reachability search
@@ -377,10 +391,62 @@ def test_multi_conjugate_leaves_no_profiles_behind():
         if i % 3 == 2:
             second = (concat(second[0], a_pow(1)),) + second[1:]
         multi_conjugate(pres, first, second)
-        assert pres._profiles == {}
+        assert pres._words == {} and pres._depth == 0
+        assert len(kept) == i + 1
+    assert min(kept) > 0
     with pytest.raises(ValueError):
         multi_conjugate(pres, (t_pow(1),), ())
-    assert pres._profiles == {}
+    assert pres._words == {} and pres._depth == 0
+
+
+def test_standalone_entry_points_leave_no_records_behind():
+    pres = presentation("bs12")
+    rng = random.Random(98)
+    h = concat(t_pow(1), a_pow(1))
+    calls = [
+        lambda g: conjugate_hyperbolic(pres, h, conjugate(pres, h, g)),
+        lambda g: centralizer_hyperbolic(pres, conjugate(pres, h, g)),
+        lambda g: classify_intersection(pres, conjugate(pres, a_pow(2), g), h),
+        lambda g: halfline_fixation(pres, h, conjugate(pres, a_pow(1), g), 1),
+        lambda g: compute_modulus(pres, conjugate(pres, h, g)),
+    ]
+    for call in calls:
+        for _ in range(50):
+            call(random_word(rng, pres, rng.randint(0, 4)))
+            assert pres._words == {} and pres._depth == 0
+    with pytest.raises(ValueError):
+        classify_intersection(pres, a_pow(1), a_pow(1))
+    assert pres._words == {} and pres._depth == 0
+
+
+def test_multi_conjugate_reduces_each_word_once(monkeypatch):
+    # translate and is_trivial read one record per word: inside one call
+    # no (word, base, end) is reduced twice, although words are moved
+    # again and again (char_distance probes, axis periods, profiles)
+    pres = presentation("z4f2")
+    h = concat(letter_word("e1"), vertex_word("v0", (1, 0, 2, 0)), letter_word("e2"))
+    ell = conjugate(pres, vertex_word("v0", (0, 1, 0, -1)), letter_word("e2"))
+    first = (h, ell, concat(h, vertex_word("v0", (0, 0, 1, 0)), h))
+    by = concat(letter_word("e1bar"), letter_word("e2"))
+    second = tuple(word_simplify(pres, conjugate(pres, x, by)) for x in first)
+
+    reductions = Counter()
+    translates = [0]
+    reduce, translate = words._reduce, tree._translate
+
+    def counting_reduce(p, w, base, end):
+        reductions[w, base, end] += 1
+        return reduce(p, w, base, end)
+
+    def counting_translate(p, g, x):
+        translates[0] += 1
+        return translate(p, g, x)
+
+    monkeypatch.setattr(words, "_reduce", counting_reduce)
+    monkeypatch.setattr(tree, "_translate", counting_translate)
+    assert isinstance(multi_conjugate(pres, first, second), Conjugate)
+    assert max(reductions.values()) == 1
+    assert translates[0] > len(reductions)
 
 
 # --- witness replays are explicit checks --------------------------------

@@ -39,7 +39,6 @@ from vgbs.tree import (
 from vgbs.words import (
     concat,
     conjugate,
-    express_in_vertex,
     invert_word,
     vertex_word,
     word_power,
@@ -52,6 +51,7 @@ from fixtures import (
     ALL_GRAPHS,
     NON_UNIMODULAR,
     a_pow,
+    express_in_vertex,
     hnn,
     presentation,
     random_word,

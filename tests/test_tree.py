@@ -5,11 +5,13 @@ from time import perf_counter
 
 import pytest
 
-from fixtures import ALL_GRAPHS, a_pow, presentation, random_word, t_pow
+from fixtures import ALL_GRAPHS, a_pow, express_in_vertex, presentation, random_word, t_pow
+from vgbs.graph import query_scope
 from vgbs.tree import (
     HYPERBOLIC,
     ELLIPTIC,
     TreeVertex,
+    _translate,
     axis_offset,
     axis_vertex,
     base_vertex,
@@ -26,9 +28,9 @@ from vgbs.words import (
     Word,
     concat,
     conjugate,
-    express_in_vertex,
     invert_word,
     is_trivial,
+    loop_form,
     reduced_form,
     vertex_word,
 )
@@ -168,6 +170,56 @@ def test_stabilizer_coords_match_word_problem(name):
         assert stabilizer_coords(pres, x, w) == expected
         outcomes.add(expected is not None)
     assert outcomes == ({True} if name == "z2" else {True, False})
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
+def test_warm_records_match_cold(name):
+    # inside one query translate reads g's loop and forward pass from the
+    # record that earlier calls filled; those answers must equal the ones
+    # computed outside any query, which keeps no record.  Vertices are
+    # reached by random words, words run up to 64 syllables, and g = u⁻¹
+    # and g = w·(u·v)⁻¹ for x = (u·v)·base pinch their loops into x's steps
+    pres = presentation(name)
+    rng = random.Random(2424)
+    v0 = base_vertex(pres)
+
+    @query_scope
+    def warm(pres, pairs):
+        return [
+            (_translate(pres, g, y), stabilizer_coords(pres, y, g), is_trivial(pres, g))
+            for g, y in pairs
+        ]
+
+    corners = set()
+    for _ in range(10):
+        u = random_word(rng, pres, rng.randint(0, 32))
+        v = random_word(rng, pres, rng.randint(0, 32))
+        x = translate(pres, concat(u, v), v0)
+        vec = [rng.randint(-3, 3) for _ in range(pres.vertex_rank(x.rep))]
+        gs = [
+            random_word(rng, pres, rng.randint(0, 64)),
+            invert_word(pres, u),
+            concat(random_word(rng, pres, rng.randint(0, 8)), invert_word(pres, concat(u, v))),
+            stabilizer_element(pres, x, vec),
+        ]
+        pairs = [(g, y) for g in gs for y in (x, v0, translate(pres, u, v0))]
+        for g, h in zip(gs[:2], gs[2:]):
+            # the action composes: (g·h)·x = g·(h·x)
+            assert translate(pres, concat(g, h), x) == translate(pres, g, translate(pres, h, x))
+        for (g, y), answer in zip(pairs, warm(pres, pairs)):
+            assert answer == (
+                _translate(pres, g, y),
+                stabilizer_coords(pres, y, g),
+                is_trivial(pres, g),
+            )
+            # m steps of g's loop survive the junction and kept steps of y
+            # are pinched: |g·y| = |loop| + |y| − 2·kept
+            n, gy = len(loop_form(pres, g).edges), answer[0][0]
+            kept = (n + len(y.steps) - len(gy.steps)) // 2
+            corners.add((n - kept == 0, kept == len(y.steps) > 0))
+        assert pres._words == {}
+    if name != "z2":
+        assert {(True, False), (False, True), (True, True)} <= corners
 
 
 def test_translation_profiles(bs12p):

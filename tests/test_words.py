@@ -16,6 +16,7 @@ from fixtures import (
     NON_UNIMODULAR,
     a_pow,
     bs12_affine,
+    express_in_vertex,
     free_product,
     presentation,
     random_word,
@@ -31,7 +32,6 @@ from vgbs.words import (
     commutator,
     concat,
     conjugate,
-    express_in_vertex,
     invert_word,
     is_trivial,
     letter_word,
